@@ -94,8 +94,7 @@ struct Row {
   bool bitwise_identical = true;
 };
 
-Row measure(const Trajectory& tr, std::uint32_t q, int p,
-            fmm::FmmExecutor exec, int threads) {
+Row measure(const Trajectory& tr, std::uint32_t q, int p, int threads) {
 #ifdef _OPENMP
   omp_set_num_threads(threads);
 #endif
@@ -106,9 +105,9 @@ Row measure(const Trajectory& tr, std::uint32_t q, int p,
   Row row;
   row.threads = threads;
 
-  fmm::FmmSession session(kernel, tr.pos.front(), {tree, fcfg, exec});
+  fmm::FmmSession session(kernel, tr.pos.front(), {tree, fcfg});
   std::vector<double> warm_phi(tr.charge.size());
-  // Step 0 is the cold start (arena sizing, DAG build); price it separately
+  // Step 0 is the cold start (arena sizing); price it separately
   // by evaluating once before the timed loop, exactly like a real run.
   session.evaluate_into(tr.charge, warm_phi);
 
@@ -121,13 +120,11 @@ Row measure(const Trajectory& tr, std::uint32_t q, int p,
 
     const auto t1 = Clock::now();
     fmm::FmmEvaluator shared_ev(session.plan(), pos, tree);
-    shared_ev.set_executor(exec);
     const auto shared_phi = shared_ev.evaluate(tr.charge);
     shared_ms.push_back(ms_since(t1));
 
     const auto t2 = Clock::now();
     fmm::FmmEvaluator cold_ev(*kernel, pos, tree, fcfg);
-    cold_ev.set_executor(exec);
     const auto cold_phi = cold_ev.evaluate(tr.charge);
     cold_ms.push_back(ms_since(t2));
 
@@ -179,19 +176,15 @@ TunedSection run_tuned(std::size_t n, std::uint32_t q, int p, int steps,
 }
 
 int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
-                   int p, int steps, double sigma,
-                   const std::string& executor) {
-  const fmm::FmmExecutor exec =
-      executor == "dag" ? fmm::FmmExecutor::kDag : fmm::FmmExecutor::kPhases;
+                   int p, int steps, double sigma) {
   const Trajectory tr = make_trajectory(n, steps, sigma, 7);
 
   std::vector<Row> rows;
   for (const int t : bench::sweep_thread_counts()) {
     std::fprintf(stderr,
-                 "bench-json: executor=%s n=%zu q=%u p=%d steps=%d sigma=%g "
-                 "threads=%d\n",
-                 executor.c_str(), n, q, p, steps, sigma, t);
-    rows.push_back(measure(tr, q, p, exec, t));
+                 "bench-json: n=%zu q=%u p=%d steps=%d sigma=%g threads=%d\n",
+                 n, q, p, steps, sigma, t);
+    rows.push_back(measure(tr, q, p, t));
   }
 
   // The tuned section is about trigger rates, not wall time; run it at a
@@ -212,7 +205,6 @@ int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
   }
   out << "{\n";
   out << "  \"bench\": \"fmm_dynamics\",\n";
-  out << "  \"executor\": \"" << executor << "\",\n";
   out << "  \"kernel\": \"laplace\",\n";
   out << "  \"n\": " << n << ",\n";
   out << "  \"q\": " << q << ",\n";
@@ -266,7 +258,6 @@ int main(int argc, char** argv) {
   int p = 4;
   int steps = 16;
   double sigma = 0.008;
-  std::string executor = "phases";
   std::string v;
   for (int i = 1; i < argc; ++i) {
     if (flag_value(argv[i], "--bench-json", &v)) {
@@ -281,14 +272,8 @@ int main(int argc, char** argv) {
       steps = std::stoi(v);
     } else if (flag_value(argv[i], "--bench-sigma", &v)) {
       sigma = std::stod(v);
-    } else if (flag_value(argv[i], "--executor", &v)) {
-      if (v != "phases" && v != "dag") {
-        std::fprintf(stderr, "--executor must be 'phases' or 'dag'\n");
-        return 2;
-      }
-      executor = v;
     }
     v.clear();
   }
-  return run_bench_json(json_path, n, q, p, steps, sigma, executor);
+  return run_bench_json(json_path, n, q, p, steps, sigma);
 }

@@ -59,29 +59,6 @@ BENCHMARK(BM_FmmEvaluate)
     ->Args({16384, 256})
     ->Unit(benchmark::kMillisecond);
 
-void BM_FmmEvaluateDag(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto q = static_cast<std::uint32_t>(state.range(1));
-  util::Rng rng(1);
-  const auto pts = fmm::uniform_cube(n, rng);
-  const auto dens = fmm::random_densities(n, rng);
-  static const fmm::LaplaceKernel kernel;
-  fmm::FmmEvaluator ev(kernel, pts, {.max_points_per_box = q},
-                       fmm::FmmConfig{.p = 4});
-  ev.set_executor(fmm::FmmExecutor::kDag);
-  for (auto _ : state) {
-    auto phi = ev.evaluate(dens);
-    benchmark::DoNotOptimize(phi.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FmmEvaluateDag)
-    ->Args({4096, 64})
-    ->Args({16384, 64})
-    ->Args({16384, 256})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_DirectSum(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
@@ -155,14 +132,13 @@ Run measure(fmm::FmmEvaluator& ev, std::span<const double> dens, int threads,
 }
 
 int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
-                   int p, int reps, const std::string& executor) {
+                   int p, int reps) {
   util::Rng rng(1);
   const auto pts = fmm::uniform_cube(n, rng);
   const auto dens = fmm::random_densities(n, rng);
   const fmm::LaplaceKernel kernel;
   fmm::FmmEvaluator ev(kernel, pts, {.max_points_per_box = q},
                        fmm::FmmConfig{.p = p});
-  if (executor == "dag") ev.set_executor(fmm::FmmExecutor::kDag);
 
   std::vector<int> thread_counts{1};
 #ifdef _OPENMP
@@ -171,9 +147,8 @@ int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
 
   std::vector<Run> runs;
   for (const int t : thread_counts) {
-    std::fprintf(stderr,
-                 "bench-json: executor=%s n=%zu q=%u p=%d threads=%d reps=%d\n",
-                 executor.c_str(), n, q, p, t, reps);
+    std::fprintf(stderr, "bench-json: n=%zu q=%u p=%d threads=%d reps=%d\n",
+                 n, q, p, t, reps);
     runs.push_back(measure(ev, dens, t, reps));
   }
 
@@ -185,7 +160,6 @@ int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
   }
   out << "{\n";
   out << "  \"bench\": \"fmm_evaluate\",\n";
-  out << "  \"executor\": \"" << executor << "\",\n";
   out << "  \"kernel\": \"" << kernel.name() << "\",\n";
   out << "  \"n\": " << n << ",\n";
   out << "  \"q\": " << q << ",\n";
@@ -220,7 +194,6 @@ int main(int argc, char** argv) {
   std::uint32_t q = 64;
   int p = 4;
   int reps = 9;
-  std::string executor = "phases";
   std::string v;
   for (int i = 1; i < argc; ++i) {
     if (flag_value(argv[i], "--bench-json", &v)) {
@@ -234,16 +207,10 @@ int main(int argc, char** argv) {
       p = std::stoi(v);
     } else if (flag_value(argv[i], "--bench-reps", &v)) {
       reps = std::stoi(v);
-    } else if (flag_value(argv[i], "--executor", &v)) {
-      if (v != "phases" && v != "dag") {
-        std::fprintf(stderr, "--executor must be 'phases' or 'dag'\n");
-        return 2;
-      }
-      executor = v;
     }
     v.clear();
   }
-  if (json_mode) return run_bench_json(json_path, n, q, p, reps, executor);
+  if (json_mode) return run_bench_json(json_path, n, q, p, reps);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

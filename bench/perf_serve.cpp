@@ -8,7 +8,7 @@
 //   * warm: plan cache enabled and pre-warmed -- requests share plans, so
 //     the per-request path is tree + lists + solve only.
 //   * cold: plan cache disabled (capacity 0) -- every request pays operator
-//     construction, DAG skeleton build and the schedule search.
+//     construction and the schedule search.
 //
 // The headline acceptance number is warm/cold throughput at equal worker
 // count (>= 2x) plus req/s scaling from 1 to 4 workers.

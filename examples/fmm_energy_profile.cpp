@@ -7,9 +7,8 @@
 // With `--trace=out.json` (and/or `--trace-csv=prefix`) the whole run is
 // recorded to a chrome://tracing file: the six FMM phase spans with their
 // work tallies, the campaign cells, the fitted-model residuals, and the
-// PowerMon sample stream. `--executor=dag` drives the traced evaluation
-// through the task-graph executor (phase spans then report busy time).
-#include <cstring>
+// PowerMon sample stream.
+#include <cstdlib>
 #include <iostream>
 
 #include "core/fit.hpp"
@@ -28,9 +27,6 @@ int main(int argc, char** argv) {
   const std::uint32_t q = argc > 2
                               ? static_cast<std::uint32_t>(std::atoi(argv[2]))
                               : 128;
-  bool use_dag = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--executor=dag") == 0) use_dag = true;
 
   // Fit the platform model once.
   const auto soc = hw::Soc::tegra_k1();
@@ -51,7 +47,6 @@ int main(int argc, char** argv) {
       {.max_points_per_box = q,
        .uniform_depth = fmm::Octree::uniform_depth_for(n, q)},
       fmm::FmmConfig{.p = 4});
-  if (use_dag) ev.set_executor(fmm::FmmExecutor::kDag);
   if (tracer.enabled()) {
     // Run the evaluation for real so the trace holds the six phase spans
     // with their work tallies, not just the modeled GPU profile.

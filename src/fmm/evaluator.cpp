@@ -1,7 +1,6 @@
 #include "fmm/evaluator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -33,26 +32,8 @@ int thread_index() {
 #endif
 }
 
-const char* phase_name(int tag) {
-  switch (tag) {
-    case kDagTagUp:
-      return "UP";
-    case kDagTagV:
-      return "V";
-    case kDagTagX:
-      return "X";
-    case kDagTagDown:
-      return "DOWN";
-    case kDagTagU:
-      return "U";
-    default:
-      return "W";
-  }
-}
-
 /// Mirrors one phase's tallies into the session's counter registry as
 /// "fmm.<phase>.<tally>" so regression tests can compare runs bit-for-bit.
-/// Both executors call this in canonical phase order (UP,V,X,DOWN,U,W).
 // eroof: cold (trace emission helper: only called with an installed
 // session; the key strings are the accepted cost of tracing)
 void add_phase_counters(const char* phase, const FmmStats::Phase& p) {
@@ -62,15 +43,6 @@ void add_phase_counters(const char* phase, const FmmStats::Phase& p) {
   trace::counter_add(prefix + "ffts", p.ffts);
   trace::counter_add(prefix + "hadamard_cmuls", p.hadamard_cmuls);
   trace::counter_add(prefix + "solve_matvecs", p.solve_matvecs);
-}
-
-// eroof: cold (trace emission helper: only called with an installed session)
-void phase_args(trace::SpanEvent& ev, const FmmStats::Phase& p) {
-  ev.args.push_back({"kernel_evals", p.kernel_evals});
-  ev.args.push_back({"pair_count", p.pair_count});
-  ev.args.push_back({"ffts", p.ffts});
-  ev.args.push_back({"hadamard_cmuls", p.hadamard_cmuls});
-  ev.args.push_back({"solve_matvecs", p.solve_matvecs});
 }
 
 /// Annotates a finished phase span with the phase's tallies and mirrors them
@@ -129,15 +101,15 @@ void FmmEvaluator::init() {
   }
 
   const auto& nodes = tree_.nodes();
+  std::size_t n_slots = 0;
   slot_.assign(nodes.size(), -1);
   for (std::size_t b = 0; b < nodes.size(); ++b)
-    if (nodes[b].level() >= kMinLevel)
-      slot_[b] = static_cast<int>(n_slots_++);
+    if (nodes[b].level() >= kMinLevel) slot_[b] = static_cast<int>(n_slots++);
 
   const std::size_t ns = ops().n_surf();
-  up_equiv_.resize(n_slots_ * ns);
-  down_check_.resize(n_slots_ * ns);
-  down_equiv_.resize(n_slots_ * ns);
+  up_equiv_.resize(n_slots * ns);
+  down_check_.resize(n_slots * ns);
+  down_equiv_.resize(n_slots * ns);
 
   // X targets: nodes with work to do. A node below kMinLevel can never be
   // an X target (its W-dual would be adjacent to everything), so every
@@ -290,14 +262,14 @@ void FmmEvaluator::evaluate_into(std::span<const double> densities,
                                  std::span<double> out) {
   EROOF_REQUIRE(densities.size() == tree_.points().size());
   EROOF_REQUIRE(out.size() == densities.size());
-  // Tallies are structural: one wholesale commit of the precomputed pass,
-  // identical under both executors (and trivially thread-count invariant).
+  // Tallies are structural: one wholesale commit of the precomputed pass
+  // (trivially thread-count invariant).
   stats_ = structural_stats_;
 
   // Setup: permute densities into tree-order staging, zero the arenas, and
   // make sure per-thread scratch exists. The staging buffers and scratch are
-  // sized on the first call; past this point -- the six phases under either
-  // executor -- nothing touches the heap.
+  // sized on the first call; past this point -- the six phases -- nothing
+  // touches the heap.
   const auto orig = tree_.original_index();
   if (eval_dens_.size() != densities.size()) {
     eval_dens_.resize(densities.size());  // eroof-lint: allow(hot-alloc)
@@ -321,10 +293,7 @@ void FmmEvaluator::evaluate_into(std::span<const double> densities,
     eval_span.arg("n_nodes", static_cast<double>(tree_.nodes().size()));
   }
 
-  if (executor_ == FmmExecutor::kDag)
-    evaluate_dag(eval_dens_, eval_phi_);
-  else
-    evaluate_phases(eval_dens_, eval_phi_);
+  evaluate_phases(eval_dens_, eval_phi_);
 
   // Un-permute the potentials to the caller's order.
   for (std::size_t i = 0; i < eval_phi_.size(); ++i)
@@ -335,7 +304,7 @@ void FmmEvaluator::evaluate_into(std::span<const double> densities,
 bool FmmEvaluator::try_refit(std::span<const Vec3> new_points) {
   if (!tree_.try_refit(new_points)) return false;
   // Structure is unchanged, so every structural piece -- interaction lists,
-  // slots, arenas, X targets, spectra banks, DAG skeleton -- stays valid.
+  // slots, arenas, X targets, spectra banks -- stays valid.
   // Only the coordinates moved and the occupancy-dependent tallies shifted.
   const auto pts = tree_.points();
   // eroof: hot-begin (refit: refresh the SoA coordinate mirror in place)
@@ -371,10 +340,9 @@ std::vector<double> FmmEvaluator::evaluate_at(
 }
 
 // ---------------------------------------------------------------------------
-// Per-node phase bodies. Both executors funnel through these, so the
-// floating-point operation sequence applied to any given arena cell or
-// output element is executor-independent by construction; only the
-// *scheduling* of independent nodes differs.
+// Per-node phase bodies. Within one sweep every arena cell and output element
+// has exactly one writing body, so the sweeps below can run the nodes of one
+// level (or all leaves) in parallel without changing any result bit.
 // ---------------------------------------------------------------------------
 
 void FmmEvaluator::node_up(int b, const double* dens) {
@@ -406,10 +374,14 @@ void FmmEvaluator::node_up(int b, const double* dens) {
   // eroof: hot-end
 }
 
-void FmmEvaluator::node_fft_forward(int b, double* qr, double* qi) {
-  // eroof: hot-begin (V body: forward FFT of one node's equivalent grid,
-  // split into real/imag planes so the Hadamard stage vectorizes)
+void FmmEvaluator::node_fft_forward(int b) {
+  // eroof: hot-begin (V body: forward FFT of one node's equivalent grid into
+  // its level spectrum bank, split into real/imag planes so the Hadamard
+  // stage vectorizes)
   const std::size_t g = ops().grid_size();
+  const std::size_t pos = pos_in_level_[static_cast<std::size_t>(b)] * g;
+  double* qr = spec_re_.data() + pos;
+  double* qi = spec_im_.data() + pos;
   Workspace& ws = workspace();
   ops().embed(up_equiv(b), ws.grid);
   ops().plan().forward(ws.grid);
@@ -420,9 +392,7 @@ void FmmEvaluator::node_fft_forward(int b, double* qr, double* qi) {
   // eroof: hot-end
 }
 
-void FmmEvaluator::node_v_hadamard(int b, const double* spec_re,
-                                   const double* spec_im,
-                                   const std::size_t* spec_pos) {
+void FmmEvaluator::node_v_hadamard(int b) {
   // eroof: hot-begin (V body: Hadamard accumulate + inverse FFT + scatter
   // onto one node's downward check surface)
   const auto& vlist = lists_.v[static_cast<std::size_t>(b)];
@@ -449,9 +419,9 @@ void FmmEvaluator::node_v_hadamard(int b, const double* spec_re,
     EROOF_REQUIRE_MSG(rel.has_value(), "V-list pair in the near field");
     const double* t_re = bank_re + *rel * g;
     const double* t_im = bank_im + *rel * g;
-    const std::size_t pos = spec_pos[static_cast<std::size_t>(s)] * g;
-    const double* q_re = spec_re + pos;
-    const double* q_im = spec_im + pos;
+    const std::size_t pos = pos_in_level_[static_cast<std::size_t>(s)] * g;
+    const double* q_re = spec_re_.data() + pos;
+    const double* q_im = spec_im_.data() + pos;
 #pragma omp simd
     for (std::size_t k = 0; k < g; ++k) {
       acc_re[k] += t_re[k] * q_re[k] - t_im[k] * q_im[k];
@@ -518,8 +488,7 @@ void FmmEvaluator::node_down(int b) {
   la::gemv_add(lops.dc2e, down_check(b), equiv);
 
   // L2L: push to children's check surfaces (each child's check surface has
-  // exactly one L2L writer -- this node -- so this is race-free under both
-  // executors).
+  // exactly one L2L writer -- this node -- so the level sweep is race-free).
   for (int c : node.children) {
     if (c < 0) continue;
     la::gemv_add(lops.l2l[tree_.node(c).key.octant_in_parent()], equiv,
@@ -575,7 +544,7 @@ void FmmEvaluator::leaf_w(int b, double* phi) {
 }
 
 // ---------------------------------------------------------------------------
-// Bulk-synchronous executor: six phase sweeps with a barrier between phases.
+// The six phase sweeps, with a barrier between phases.
 // ---------------------------------------------------------------------------
 
 void FmmEvaluator::evaluate_phases(std::span<const double> dens,
@@ -628,7 +597,6 @@ void FmmEvaluator::upward_pass(std::span<const double> dens) {
 }
 
 void FmmEvaluator::v_phase() {
-  const std::size_t g = ops().grid_size();
   const auto& by_level = tree_.nodes_by_level();
 
   for (int l = kMinLevel; l <= tree_.max_depth(); ++l) {
@@ -652,8 +620,7 @@ void FmmEvaluator::v_phase() {
     // eroof: hot-begin (V: forward FFTs into the level spectrum banks)
 #pragma omp parallel for schedule(dynamic)
     for (std::size_t ni = 0; ni < level_nodes.size(); ++ni)
-      node_fft_forward(level_nodes[ni], spec_re_.data() + ni * g,
-                       spec_im_.data() + ni * g);
+      node_fft_forward(level_nodes[ni]);
     // eroof: hot-end
 
     // Per target: accumulate Hadamard products in Fourier space, one
@@ -661,8 +628,7 @@ void FmmEvaluator::v_phase() {
     // eroof: hot-begin (V: Hadamard accumulate + inverse FFT + scatter)
 #pragma omp parallel for schedule(dynamic)
     for (std::size_t ni = 0; ni < level_nodes.size(); ++ni)
-      node_v_hadamard(level_nodes[ni], spec_re_.data(), spec_im_.data(),
-                      pos_in_level_.data());
+      node_v_hadamard(level_nodes[ni]);
     // eroof: hot-end
   }
 }
@@ -713,165 +679,6 @@ void FmmEvaluator::w_pass(std::span<double> phi) {
   for (std::size_t li = 0; li < leaves.size(); ++li)
     leaf_w(leaves[li], phi.data());
   // eroof: hot-end
-}
-
-// ---------------------------------------------------------------------------
-// DAG executor: the same per-node bodies as tasks of a dependency-counting
-// graph (util::TaskGraph), replayed allocation-free per evaluate.
-//
-// Determinism discipline (DESIGN.md section 11): every memory location's
-// writers are totally ordered by edges, in exactly the phase-path order --
-//   phi[leaf range]:   L2P, then U pairs (u-list order), then W pairs
-//                      (w-list order)          => chain l2p -> u -> w;
-//   down_check(b):     V commit, X adds, parent's L2L, then the DC2E read
-//                      => v -> x -> down(parent) -> down(b);
-//   up_equiv(b):       single writer (up task), readers ordered after it.
-// Hence results are bitwise identical to the phases path for any thread
-// count and any schedule.
-// ---------------------------------------------------------------------------
-
-const util::TaskGraph& FmmEvaluator::task_graph() {
-  if (!dag_built_) build_dag();
-  return *dag_;
-}
-
-void FmmEvaluator::dag_fft(int b) {
-  const std::size_t pos =
-      dag_spec_pos_[static_cast<std::size_t>(b)] * ops().grid_size();
-  node_fft_forward(b, dag_spec_re_.data() + pos, dag_spec_im_.data() + pos);
-}
-
-void FmmEvaluator::dag_vhad(int b) {
-  node_v_hadamard(b, dag_spec_re_.data(), dag_spec_im_.data(),
-                  dag_spec_pos_.data());
-}
-
-void FmmEvaluator::run_dag_task(int t) {
-  const int b = dag_node_[t];
-  const auto dispatch = [&] {
-    // Bound to the densities/potentials of the current evaluate() via
-    // dag_dens_/dag_phi_ (spans are caller-owned for one call only).
-    switch (dag_kind_[t]) {
-      case FmmDagKind::kUp:
-        node_up(b, dag_dens_);
-        break;
-      case FmmDagKind::kFft:
-        dag_fft(b);
-        break;
-      case FmmDagKind::kVHad:
-        dag_vhad(b);
-        break;
-      case FmmDagKind::kVDense:
-        node_v_dense(b);
-        break;
-      case FmmDagKind::kX:
-        node_x(b, dag_dens_);
-        break;
-      case FmmDagKind::kDown:
-        node_down(b);
-        break;
-      case FmmDagKind::kL2p:
-        leaf_l2p(b, dag_phi_);
-        break;
-      case FmmDagKind::kU:
-        leaf_u(b, dag_dens_, dag_phi_);
-        break;
-      case FmmDagKind::kW:
-        leaf_w(b, dag_phi_);
-        break;
-    }
-  };
-  if (!dag_timing_) {
-    dispatch();
-    return;
-  }
-  const auto t0 = trace::Clock::now();
-  dispatch();
-  const auto t1 = trace::Clock::now();
-  dag_busy_us_[static_cast<std::size_t>(thread_index())]
-              [static_cast<std::size_t>(dag_->tag(t))] +=
-      std::chrono::duration<double, std::micro>(t1 - t0).count();
-}
-
-void FmmEvaluator::build_dag() {
-  const auto& nodes = tree_.nodes();
-  const bool fft = ops().config().use_fft_m2l;
-
-  if (fft) {
-    // Per-slot spectrum planes: the DAG overlaps levels, so the per-level
-    // banks of the phases path would be reused while still referenced.
-    dag_spec_re_.resize(n_slots_ * ops().grid_size());
-    dag_spec_im_.resize(n_slots_ * ops().grid_size());
-    dag_spec_pos_.assign(nodes.size(), 0);
-    for (std::size_t b = 0; b < nodes.size(); ++b)
-      if (slot_[b] >= 0)
-        dag_spec_pos_[b] = static_cast<std::size_t>(slot_[b]);
-  }
-
-  // Adopt the plan's skeleton when the tree structure matches (the serving
-  // cache-hit path: skips edge construction, the duplicate check and the
-  // Kahn pass); otherwise build a local one. Correctness is validated by
-  // the structural signature, never assumed -- a plan built from one
-  // request's tree can be offered a differently-shaped tree later.
-  const FmmDagSkeleton* skel = plan_->dag_skeleton();
-  if (skel == nullptr ||
-      skel->tree_signature != tree_structure_signature(tree_)) {
-    local_skeleton_ = std::make_unique<FmmDagSkeleton>(
-        build_fmm_dag_skeleton(tree_, lists_, fft));
-    skel = local_skeleton_.get();
-  }
-  dag_kind_ = skel->kind.data();
-  dag_node_ = skel->node.data();
-  dag_ = std::make_unique<util::TaskGraph>(skel->topology);
-  dag_->set_runner([this](int t) { run_dag_task(t); });
-  dag_built_ = true;
-}
-
-void FmmEvaluator::evaluate_dag(std::span<const double> dens,
-                                std::span<double> phi) {
-  // eroof: cold (first-call DAG construction; every later evaluate replays
-  // the sealed graph without touching the heap)
-  if (!dag_built_) build_dag();
-  dag_dens_ = dens.data();
-  dag_phi_ = phi.data();
-
-  trace::TraceSession* sess = trace::session();
-  dag_timing_ = sess != nullptr;
-  std::int64_t t0 = 0;
-  if (dag_timing_) {
-    dag_busy_us_.assign(static_cast<std::size_t>(max_threads()),
-                        std::array<double, kFmmDagTagCount>{});
-    t0 = sess->now_us();
-  }
-
-  dag_->run(dag_hooks_);
-
-  dag_dens_ = nullptr;
-  dag_phi_ = nullptr;
-  if (!dag_timing_) return;
-  dag_timing_ = false;
-
-  // Phases interleave under the DAG, so each phase span reports *busy* time
-  // (summed task durations across workers), all anchored at the run start.
-  // Emitted -- and the counter registry bumped -- in canonical phase order,
-  // matching the phases path event-for-event.
-  const FmmStats::Phase* tallies[kFmmDagTagCount] = {
-      &stats_.up, &stats_.v, &stats_.x, &stats_.down, &stats_.u, &stats_.w};
-  for (int tag = 0; tag < kFmmDagTagCount; ++tag) {
-    double busy = 0.0;
-    for (const auto& per : dag_busy_us_)
-      busy += per[static_cast<std::size_t>(tag)];
-    trace::SpanEvent ev;
-    ev.name = phase_name(tag);
-    ev.category = "fmm.phase";
-    ev.tid = 0;
-    ev.start_us = t0;
-    ev.dur_us = static_cast<std::int64_t>(busy);
-    ev.depth = 1;
-    phase_args(ev, *tallies[tag]);
-    sess->emit_span(std::move(ev));
-    add_phase_counters(phase_name(tag), *tallies[tag]);
-  }
 }
 
 }  // namespace eroof::fmm

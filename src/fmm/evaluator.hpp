@@ -19,25 +19,17 @@
 // per-thread Workspace scratch, with kernel evaluation batched through
 // Kernel::eval_batch (one virtual call per tile, simd inner loops).
 //
-// Two executors share those per-node bodies (DESIGN.md section 11):
-//
-//   kPhases  six bulk-synchronous sweeps with a barrier between phases
-//            (the paper's execution model, and the reference semantics);
-//   kDag     a dependency-counting task DAG over the same per-node bodies
-//            (util::TaskGraph), with edges M2M-parent-after-children,
-//            M2L-after-sources'-upward and L2L/L2P-after-M2L+X, so
-//            independent subtrees overlap instead of idling at barriers.
-//
-// Both paths apply bitwise-identical floating-point operation sequences to
-// every output element -- the DAG's edges totally order all writers of each
-// arena cell in exactly the phase order -- so results, stats() and trace
-// counter totals are identical across executors and thread counts.
+// Execution model (DESIGN.md section 11): six bulk-synchronous sweeps in
+// the paper's phase order, one OpenMP loop over the nodes of a level or
+// the leaves per step, with a barrier between steps. Phases never overlap,
+// so each phase span is that phase's wall time and a per-phase DVFS
+// setting applies to exactly one phase's work. Every output element
+// receives the same floating-point operation sequence at any thread count,
+// so results, stats() and trace counter totals are thread-count invariant.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fmm/kernel.hpp"
@@ -45,7 +37,6 @@
 #include "fmm/octree.hpp"
 #include "fmm/operators.hpp"
 #include "fmm/plan.hpp"
-#include "util/taskgraph.hpp"
 
 namespace eroof::fmm {
 
@@ -62,15 +53,9 @@ struct FmmStats {
   Phase up, u, v, w, x, down;
 };
 
-/// Which execution engine evaluate() drives the six phases with.
-enum class FmmExecutor {
-  kPhases,  ///< bulk-synchronous phase sweeps (reference semantics)
-  kDag,     ///< dependency-counting task DAG (util::TaskGraph)
-};
-
 /// The evaluator. Construction builds the tree and the interaction lists
 /// (per-request state) and either builds or shares an FmmPlan (the
-/// operators and optional DAG skeleton); `evaluate` can then be called
+/// operators); `evaluate` can then be called
 /// repeatedly with different source densities (e.g. inside a time-stepping
 /// loop) -- repeat calls reuse all arenas and scratch without reallocating.
 class FmmEvaluator {
@@ -97,15 +82,14 @@ class FmmEvaluator {
   /// When a trace::TraceSession is installed, each phase emits exactly one
   /// span (category "fmm.phase", names UP/U/V/W/X/DOWN) carrying its
   /// FmmStats tallies as args, plus registry totals "fmm.<phase>.<tally>",
-  /// all nested under one "evaluate" span (category "fmm"). Under the DAG
-  /// executor the phase spans report per-phase *busy* time (the summed task
-  /// durations of that phase) since phases interleave.
+  /// all nested under one "evaluate" span (category "fmm"). Phases run one
+  /// after another, so each phase span is that phase's wall time.
   std::vector<double> evaluate(std::span<const double> densities);
 
   /// evaluate() without the return-value allocation: potentials are written
   /// into `out` (caller order, sized like `densities`). After the first
-  /// call -- which sizes internal buffers, per-thread workspaces, and (under
-  /// kDag) the replayable graph -- repeat calls perform no heap allocation,
+  /// call -- which sizes internal buffers and per-thread workspaces --
+  /// repeat calls perform no heap allocation,
   /// which is what lets a time-stepping session run steady-state
   /// zero-allocation. Bitwise identical to evaluate().
   void evaluate_into(std::span<const double> densities,
@@ -113,29 +97,12 @@ class FmmEvaluator {
 
   /// Re-bins moved positions into the existing tree via Octree::try_refit.
   /// On success (structure unchanged) the interaction lists, node slots,
-  /// arenas, spectra banks, and DAG skeleton -- all purely structural -- are
-  /// kept as-is; only the SoA coordinate mirror and the occupancy-dependent
+  /// arenas and spectra banks -- all purely structural -- are kept as-is; only the SoA coordinate mirror and the occupancy-dependent
   /// structural stats are refreshed, and subsequent evaluations are bitwise
   /// identical to a fresh evaluator built from `new_points`. On false the
   /// evaluator is unchanged (caller rebuilds). Allocation-free after the
   /// tree's first refit.
   bool try_refit(std::span<const Vec3> new_points);
-
-  /// Selects the execution engine for subsequent evaluate() calls. The DAG
-  /// executor's prebuilt graph arena is constructed on first use (once) and
-  /// replayed allocation-free afterwards.
-  void set_executor(FmmExecutor e) { executor_ = e; }
-  FmmExecutor executor() const { return executor_; }
-
-  /// The DAG executor's task graph (built on first access). Exposed for
-  /// structural tests: tags, dependency counts, topology.
-  const util::TaskGraph& task_graph();
-
-  /// Test instrumentation: hooks forwarded to every DAG replay (e.g. seeded
-  /// delay injection that perturbs the schedule). Empty hooks cost nothing.
-  void set_dag_hooks(util::TaskGraph::RunHooks hooks) {
-    dag_hooks_ = std::move(hooks);
-  }
 
   const Octree& tree() const { return tree_; }
   const InteractionLists& lists() const { return lists_; }
@@ -147,7 +114,7 @@ class FmmEvaluator {
   /// structural (tree + lists + operators), so they are computed once at
   /// construction by one serial pass in canonical phase order -- the
   /// explicit commit order that keeps stats() bitwise identical across
-  /// executors and thread counts -- and committed wholesale per evaluate().
+  /// thread counts -- and committed wholesale per evaluate().
   const FmmStats& stats() const { return stats_; }
 
   /// One-shot evaluation with *distinct* target and source sets (the
@@ -175,11 +142,10 @@ class FmmEvaluator {
     std::vector<double> acc_re, acc_im;
   };
 
-  // -- per-node phase bodies, shared verbatim by both executors ----------
+  // -- per-node phase bodies ----------------------------------------------
   void node_up(int b, const double* dens);
-  void node_fft_forward(int b, double* qr, double* qi);
-  void node_v_hadamard(int b, const double* spec_re, const double* spec_im,
-                       const std::size_t* spec_pos);
+  void node_fft_forward(int b);
+  void node_v_hadamard(int b);
   void node_v_dense(int b);
   void node_x(int b, const double* dens);
   void node_down(int b);
@@ -187,7 +153,7 @@ class FmmEvaluator {
   void leaf_u(int b, const double* dens, double* phi);
   void leaf_w(int b, double* phi);
 
-  // -- bulk-synchronous executor ----------------------------------------
+  // -- the phase sweeps ---------------------------------------------------
   void evaluate_phases(std::span<const double> dens, std::span<double> phi);
   void upward_pass(std::span<const double> dens);
   void v_phase();
@@ -196,16 +162,6 @@ class FmmEvaluator {
   void l2p_pass(std::span<double> phi);
   void u_pass(std::span<const double> dens, std::span<double> phi);
   void w_pass(std::span<double> phi);
-
-  // -- DAG executor -------------------------------------------------------
-  void evaluate_dag(std::span<const double> dens, std::span<double> phi);
-  void build_dag();
-  /// The shared runner: dispatches task `t` through the skeleton's
-  /// (kind, node) tables to the per-node bodies, binding the densities /
-  /// potentials of the current evaluate() via dag_dens_/dag_phi_.
-  void run_dag_task(int t);
-  void dag_fft(int b);
-  void dag_vhad(int b);
 
   void init();  ///< common construction tail of all constructors
 
@@ -245,9 +201,8 @@ class FmmEvaluator {
             end - begin};
   }
 
-  // The shared immutable setup (operators, config, optional DAG skeleton)
-  // and the per-request tree + lists. plan_ is set by every constructor
-  // before init() runs.
+  // The shared immutable setup (operators, config) and the per-request
+  // tree + lists. plan_ is set by every constructor before init() runs.
   std::shared_ptr<const FmmPlan> plan_;
   Octree tree_;
   InteractionLists lists_;
@@ -265,43 +220,18 @@ class FmmEvaluator {
   // (shallower nodes carry no expansions). slot_[node] is the arena slot,
   // -1 for nodes without one.
   std::vector<int> slot_;
-  std::size_t n_slots_ = 0;
   std::vector<double> up_equiv_, down_check_, down_equiv_;
 
   // Nodes with non-empty X lists (most have none; the X phase iterates
   // only these).
   std::vector<int> x_targets_;
 
-  // V-phase scratch of the bulk-synchronous path: per-level node positions
-  // and split-complex spectra of the widest level, reused across levels and
-  // calls.
+  // V-phase scratch: per-level node positions and split-complex spectra of
+  // the widest level, reused across levels and calls.
   std::vector<std::size_t> pos_in_level_;
   std::vector<double> spec_re_, spec_im_;
 
   std::vector<Workspace> workspaces_;
-
-  // -- DAG executor state --------------------------------------------------
-  FmmExecutor executor_ = FmmExecutor::kPhases;
-  // The runnable graph adopts a topology either from the plan's skeleton
-  // (structure-validated by signature) or from local_skeleton_, built here
-  // when the plan carries none that fits. dag_kind_/dag_node_ alias the
-  // owning skeleton's dispatch tables.
-  std::unique_ptr<util::TaskGraph> dag_;
-  std::unique_ptr<FmmDagSkeleton> local_skeleton_;
-  const FmmDagKind* dag_kind_ = nullptr;
-  const int* dag_node_ = nullptr;
-  util::TaskGraph::RunHooks dag_hooks_;
-  bool dag_built_ = false;
-  const double* dag_dens_ = nullptr;  // valid only inside evaluate_dag()
-  double* dag_phi_ = nullptr;         // valid only inside evaluate_dag()
-  // Per-*slot* spectrum planes: unlike the per-level banks above, every
-  // node keeps its own plane because the DAG overlaps levels.
-  std::vector<double> dag_spec_re_, dag_spec_im_;
-  std::vector<std::size_t> dag_spec_pos_;  // node -> plane index (its slot)
-  // Per-thread, per-phase busy time (us) of the last DAG run; populated
-  // only while a trace session is installed.
-  bool dag_timing_ = false;
-  std::vector<std::array<double, kFmmDagTagCount>> dag_busy_us_;
 };
 
 }  // namespace eroof::fmm

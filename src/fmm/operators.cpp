@@ -26,7 +26,7 @@ Operators::Operators(const Kernel& kernel, double root_half, int max_level,
       plan_(static_cast<std::size_t>(2 * cfg.p),
             static_cast<std::size_t>(2 * cfg.p),
             static_cast<std::size_t>(2 * cfg.p)) {
-  EROOF_REQUIRE(cfg_.p >= 3 && cfg_.p <= 16);
+  EROOF_REQUIRE(cfg_.p >= FmmConfig::kMinP && cfg_.p <= FmmConfig::kMaxP);
   EROOF_REQUIRE(cfg_.tikhonov_eps > 0);
   EROOF_REQUIRE(max_level >= 0 && max_level <= MortonKey::kMaxLevel);
 

@@ -42,6 +42,8 @@ namespace eroof::fmm {
 
 /// Tunables of the method.
 struct FmmConfig {
+  static constexpr int kMinP = 3;   ///< smallest p Operators accepts
+  static constexpr int kMaxP = 16;  ///< largest p Operators accepts
   int p = 6;                  ///< surface nodes per cube edge (accuracy knob)
   double tikhonov_eps = 1e-10;  ///< regularization of the equiv solves
   bool use_fft_m2l = true;

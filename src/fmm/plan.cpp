@@ -7,17 +7,6 @@
 namespace eroof::fmm {
 namespace {
 
-constexpr int kMinLevel = 2;  // expansions exist from this level down
-
-/// FNV-1a over the 8 bytes of one 64-bit value.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::shared_ptr<const Kernel> require_kernel(
     std::shared_ptr<const Kernel> kernel) {
   EROOF_REQUIRE_MSG(kernel != nullptr, "FmmPlan needs a kernel");
@@ -25,148 +14,6 @@ std::shared_ptr<const Kernel> require_kernel(
 }
 
 }  // namespace
-
-std::uint64_t tree_structure_signature(const Octree& tree) {
-  const auto& nodes = tree.nodes();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, nodes.size());
-  h = mix(h, static_cast<std::uint64_t>(tree.max_depth()));
-  for (const Node& n : nodes) {
-    h = mix(h, n.key.raw());
-    h = mix(h, n.leaf ? 1u : 0u);
-  }
-  return h;
-}
-
-FmmDagSkeleton build_fmm_dag_skeleton(const Octree& tree,
-                                      const InteractionLists& lists,
-                                      bool use_fft_m2l) {
-  const auto& nodes = tree.nodes();
-  const auto& by_level = tree.nodes_by_level();
-
-  // Arena-slot and X-target derivations: pure functions of the structure,
-  // recomputed here exactly as the evaluator computes them.
-  std::vector<int> slot(nodes.size(), -1);
-  int n_slots = 0;
-  for (std::size_t b = 0; b < nodes.size(); ++b)
-    if (nodes[b].level() >= kMinLevel) slot[b] = n_slots++;
-  std::vector<int> x_targets;
-  for (std::size_t b = 0; b < nodes.size(); ++b)
-    if (!lists.x[b].empty() && slot[b] >= 0)
-      x_targets.push_back(static_cast<int>(b));
-
-  util::TaskGraph g;
-  FmmDagSkeleton s;
-  const auto add = [&](FmmDagKind kind, int tag, int node) {
-    s.kind.push_back(kind);
-    s.node.push_back(node);
-    return g.add_task(tag);
-  };
-
-  std::vector<int> up_t(nodes.size(), -1);
-  std::vector<int> fft_t(nodes.size(), -1);
-  std::vector<int> v_t(nodes.size(), -1);
-  std::vector<int> x_t(nodes.size(), -1);
-  std::vector<int> down_t(nodes.size(), -1);
-  std::vector<int> l2p_t(nodes.size(), -1);
-  std::vector<int> u_t(nodes.size(), -1);
-
-  // UP: one task per expansion-bearing node; a parent starts after all of
-  // its children (M2M reads their equivalent densities).
-  for (int l = tree.max_depth(); l >= kMinLevel; --l)
-    for (const int b : by_level[static_cast<std::size_t>(l)])
-      up_t[static_cast<std::size_t>(b)] = add(FmmDagKind::kUp, kDagTagUp, b);
-  for (std::size_t b = 0; b < nodes.size(); ++b) {
-    if (up_t[b] < 0 || nodes[b].leaf) continue;
-    for (int c : nodes[b].children)
-      if (c >= 0) g.add_edge(up_t[static_cast<std::size_t>(c)], up_t[b]);
-  }
-
-  // V: with FFT M2L, a forward-FFT task per expansion-bearing node (the
-  // phases path also transforms every node of a level) and one Hadamard
-  // task per node with a non-empty v-list, after all its sources' spectra.
-  // The dense fallback needs the sources' equivalent densities directly.
-  if (use_fft_m2l) {
-    for (std::size_t b = 0; b < nodes.size(); ++b) {
-      if (up_t[b] < 0) continue;
-      fft_t[b] = add(FmmDagKind::kFft, kDagTagV, static_cast<int>(b));
-      g.add_edge(up_t[b], fft_t[b]);
-    }
-    for (std::size_t b = 0; b < nodes.size(); ++b) {
-      if (up_t[b] < 0 || lists.v[b].empty()) continue;
-      v_t[b] = add(FmmDagKind::kVHad, kDagTagV, static_cast<int>(b));
-      for (const int src : lists.v[b])
-        g.add_edge(fft_t[static_cast<std::size_t>(src)], v_t[b]);
-    }
-  } else {
-    for (std::size_t b = 0; b < nodes.size(); ++b) {
-      if (up_t[b] < 0 || lists.v[b].empty()) continue;
-      v_t[b] = add(FmmDagKind::kVDense, kDagTagV, static_cast<int>(b));
-      for (const int src : lists.v[b])
-        g.add_edge(up_t[static_cast<std::size_t>(src)], v_t[b]);
-    }
-  }
-
-  // X: P2L adds follow the V commit on the same check surface (phases-path
-  // write order). Sources are raw point ranges, so there is no other dep.
-  for (const int b : x_targets) {
-    const auto bi = static_cast<std::size_t>(b);
-    x_t[bi] = add(FmmDagKind::kX, kDagTagX, b);
-    if (v_t[bi] >= 0) g.add_edge(v_t[bi], x_t[bi]);
-  }
-
-  // Last far-field writer of a node's downward check surface (before L2L).
-  const auto vlast = [&](std::size_t b) {
-    return x_t[b] >= 0 ? x_t[b] : v_t[b];
-  };
-
-  // DOWN: one DC2E+L2L task per expansion-bearing node. A node's task runs
-  // after its parent's (which L2L-appends to its check surface); the parent
-  // in turn waits for every child's V/X commits so the append lands after
-  // them, as in the phases path. Top-level nodes (no expansion-bearing
-  // parent) wait directly on their own V/X.
-  for (int l = kMinLevel; l <= tree.max_depth(); ++l)
-    for (const int b : by_level[static_cast<std::size_t>(l)])
-      down_t[static_cast<std::size_t>(b)] =
-          add(FmmDagKind::kDown, kDagTagDown, b);
-  for (int l = kMinLevel; l <= tree.max_depth(); ++l) {
-    for (const int b : by_level[static_cast<std::size_t>(l)]) {
-      const auto bi = static_cast<std::size_t>(b);
-      if (l == kMinLevel && vlast(bi) >= 0) g.add_edge(vlast(bi), down_t[bi]);
-      if (nodes[bi].leaf) continue;
-      for (int c : nodes[bi].children) {
-        if (c < 0) continue;
-        const auto ci = static_cast<std::size_t>(c);
-        g.add_edge(down_t[bi], down_t[ci]);
-        if (vlast(ci) >= 0) g.add_edge(vlast(ci), down_t[bi]);
-      }
-    }
-  }
-
-  // Leaf output tasks, chained per leaf so phi[leaf range] accumulates in
-  // the canonical order L2P -> U -> W regardless of schedule.
-  for (const int b : tree.leaves()) {
-    const auto bi = static_cast<std::size_t>(b);
-    if (slot[bi] >= 0) {
-      l2p_t[bi] = add(FmmDagKind::kL2p, kDagTagDown, b);
-      g.add_edge(down_t[bi], l2p_t[bi]);
-    }
-    u_t[bi] = add(FmmDagKind::kU, kDagTagU, b);
-    if (l2p_t[bi] >= 0) g.add_edge(l2p_t[bi], u_t[bi]);
-    if (!lists.w[bi].empty()) {
-      const int wt = add(FmmDagKind::kW, kDagTagW, b);
-      g.add_edge(u_t[bi], wt);
-      // M2P reads the w-nodes' upward equivalent densities.
-      for (const int a : lists.w[bi])
-        g.add_edge(up_t[static_cast<std::size_t>(a)], wt);
-    }
-  }
-
-  g.seal();
-  s.topology = g.share_topology();
-  s.tree_signature = tree_structure_signature(tree);
-  return s;
-}
 
 FmmPlan::FmmPlan(std::shared_ptr<const Kernel> kernel, double root_half,
                  int max_depth, FmmConfig cfg)
@@ -186,14 +33,6 @@ std::shared_ptr<FmmPlan> FmmPlan::for_tree(std::shared_ptr<const Kernel> kernel,
                                            const Octree& tree, FmmConfig cfg) {
   return std::make_shared<FmmPlan>(std::move(kernel), tree.domain().half,
                                    tree.max_depth(), cfg);
-}
-
-void FmmPlan::attach_dag_skeleton(FmmDagSkeleton skeleton) {
-  EROOF_REQUIRE_MSG(!skeleton_, "skeleton already attached");
-  EROOF_REQUIRE(skeleton.topology != nullptr);
-  EROOF_REQUIRE(skeleton.kind.size() == skeleton.topology->task_count());
-  EROOF_REQUIRE(skeleton.node.size() == skeleton.topology->task_count());
-  skeleton_ = std::move(skeleton);
 }
 
 }  // namespace eroof::fmm

@@ -2,14 +2,10 @@
 // of an FmmEvaluator's construction, split out so it can be built once and
 // evaluated against concurrently (the serving plan cache, DESIGN.md §12).
 //
-// A plan bundles everything that depends only on (kernel, accuracy p, root
-// box size, tree depth):
-//
-//   * the per-level UC2E/DC2E/M2M/L2L operators and the shared M2L spectrum
-//     bank (Operators) -- by far the dominant construction cost;
-//   * optionally, a sealed util::TaskGraph *skeleton* of the DAG executor:
-//     the topology plus (kind, node) dispatch tables, reusable by any
-//     evaluator whose tree has the same structural signature.
+// A plan holds the kernel, the root half-width, the depth, and everything
+// that depends only on (kernel, accuracy p, root box size, tree depth): the
+// per-level UC2E/DC2E/M2M/L2L operators and the shared M2L spectrum bank
+// (Operators) -- by far the dominant construction cost.
 //
 // What a plan deliberately does NOT contain: the tree, the interaction
 // lists, the point mirrors, the expansion arenas, or any scratch -- those
@@ -25,70 +21,13 @@
 // geometry scales with it.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "fmm/kernel.hpp"
-#include "fmm/lists.hpp"
 #include "fmm/octree.hpp"
 #include "fmm/operators.hpp"
-#include "util/taskgraph.hpp"
 
 namespace eroof::fmm {
-
-/// Phase tags carried by the DAG's tasks (util::TaskGraph::tag), in the
-/// evaluator's canonical phase order.
-enum FmmDagTag : int {
-  kDagTagUp = 0,
-  kDagTagV = 1,
-  kDagTagX = 2,
-  kDagTagDown = 3,
-  kDagTagU = 4,
-  kDagTagW = 5,
-};
-inline constexpr int kFmmDagTagCount = 6;
-
-/// Dispatch kind of one DAG task (which per-node body it runs). The
-/// evaluator's shared runner switches on this; the skeleton stores one kind
-/// and one node id per task.
-enum class FmmDagKind : std::uint8_t {
-  kUp,      ///< P2M/M2M + UC2E solve
-  kFft,     ///< forward FFT of one node's equivalent grid
-  kVHad,    ///< Hadamard accumulate + inverse FFT + scatter
-  kVDense,  ///< dense M2L fallback
-  kX,       ///< P2L adds
-  kDown,    ///< DC2E solve + L2L pushes
-  kL2p,     ///< leaf L2P outputs
-  kU,       ///< leaf near-field P2P
-  kW,       ///< leaf M2P
-};
-
-/// A sealed DAG structure plus its dispatch tables, valid for any tree with
-/// matching tree_structure_signature(). Node ids, lists and arena slots are
-/// all pure functions of that structure, so one skeleton serves every such
-/// tree; evaluators adopt the topology (skipping edge build, duplicate
-/// check and the Kahn pass) and dispatch through their own state.
-struct FmmDagSkeleton {
-  std::shared_ptr<const util::TaskGraph::Topology> topology;
-  std::vector<FmmDagKind> kind;  ///< per task
-  std::vector<int> node;         ///< per task
-  std::uint64_t tree_signature = 0;
-};
-
-/// Structural identity of a tree: FNV-1a over node count, every node's
-/// Morton key and leaf flag (in node order, which is deterministic given
-/// the key set), and the depth. Two trees with equal signatures have
-/// identical node indexing, interaction lists and DAG structure; point
-/// counts and coordinates may differ freely.
-std::uint64_t tree_structure_signature(const Octree& tree);
-
-/// Builds the DAG skeleton for one tree (task creation order and edges
-/// exactly as the evaluator's original in-place builder, so adopted graphs
-/// schedule identically to locally built ones).
-FmmDagSkeleton build_fmm_dag_skeleton(const Octree& tree,
-                                      const InteractionLists& lists,
-                                      bool use_fft_m2l);
 
 /// The immutable shareable setup. Construction builds the operators (and
 /// bumps the "fmm.operators.builds" trace counter -- the regression hook
@@ -114,19 +53,11 @@ class FmmPlan {
   int max_depth() const { return max_depth_; }
   const Operators& operators() const { return ops_; }
 
-  /// Attaches the reusable DAG skeleton. Pre-publication only: call before
-  /// the plan is shared with other threads (the cache's build-once slot).
-  void attach_dag_skeleton(FmmDagSkeleton skeleton);
-  const FmmDagSkeleton* dag_skeleton() const {
-    return skeleton_ ? &*skeleton_ : nullptr;
-  }
-
  private:
   std::shared_ptr<const Kernel> kernel_;
   double root_half_;
   int max_depth_;
   Operators ops_;
-  std::optional<FmmDagSkeleton> skeleton_;
 };
 
 }  // namespace eroof::fmm

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "fmm/lists.hpp"
 #include "trace/trace.hpp"
 #include "util/require.hpp"
 
@@ -42,17 +41,12 @@ void FmmSession::rebuild(std::span<const Vec3> positions) {
     // Operators depend only on (kernel, p, root half, depth), so the plan
     // survives any rebuild that does not deepen the tree; this branch is
     // the initial build or a depth increase.
-    auto plan = std::make_shared<FmmPlan>(kernel_, tree.domain().half,
-                                          tree.max_depth(), cfg_.fmm);
-    if (cfg_.executor == FmmExecutor::kDag)
-      plan->attach_dag_skeleton(build_fmm_dag_skeleton(
-          tree, build_lists(tree), cfg_.fmm.use_fft_m2l));
-    plan_ = std::move(plan);
+    plan_ = std::make_shared<const FmmPlan>(kernel_, tree.domain().half,
+                                            tree.max_depth(), cfg_.fmm);
     ++stats_.plan_builds;
     trace::counter_add("fmm.session.plan_builds", 1.0);
   }
   evaluator_.emplace(plan_, std::move(tree));
-  evaluator_->set_executor(cfg_.executor);
 }
 
 void FmmSession::evaluate_into(std::span<const double> densities,

@@ -7,9 +7,9 @@
 // all of that setup is redundant. FmmSession persists it:
 //
 //   * small drift   -> Octree::try_refit re-bins the moved points into the
-//                      existing structure; lists, slots, arenas, spectra,
-//                      and the DAG skeleton survive untouched, and the step
-//                      performs zero heap allocations;
+//                      existing structure; lists, slots, arenas and spectra
+//                      survive untouched, and the step performs zero heap
+//                      allocations;
 //   * big drift     -> full tree + evaluator rebuild, but the FmmPlan
 //                      (operators + M2L bank, the dominant cost) is reused
 //                      as long as the new depth fits under the plan's;
@@ -17,7 +17,7 @@
 //
 // Invariant, tested differentially: after every move_to, evaluate() is
 // bitwise identical to a fresh FmmEvaluator built from scratch over the
-// same positions, across executors and OMP thread counts.
+// same positions, across OMP thread counts.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,6 @@ class FmmSession {
     /// different bounding cube and nothing could be reused.
     Octree::Params tree;
     FmmConfig fmm;
-    FmmExecutor executor = FmmExecutor::kPhases;
   };
 
   FmmSession(std::shared_ptr<const Kernel> kernel,

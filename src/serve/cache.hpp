@@ -4,10 +4,9 @@
 // (shared_ptr<const V>) and built on demand by the first requester of a
 // key. Concurrent requesters of the same key never duplicate the build --
 // the first arrival inserts a promise and constructs the value *outside*
-// the shard lock (builds are expensive: operators, DAG skeleton, schedule
-// search), while later arrivals wait on the shared future. Keys hash to
-// independent shards so requests for different plans do not serialize on
-// one mutex.
+// the shard lock (builds are expensive: operators, schedule search), while
+// later arrivals wait on the shared future. Keys hash to independent shards
+// so requests for different plans do not serialize on one mutex.
 //
 // Eviction is LRU per shard (per-shard capacity = ceil(capacity/shards));
 // an evicted value stays alive for whoever still holds it -- eviction only

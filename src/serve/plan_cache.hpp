@@ -1,13 +1,13 @@
 // The serving plan cache: (kernel, accuracy q, tree depth) -> ServePlan.
 //
 // A ServePlan is everything reusable across requests that resolve to the
-// same key: the FmmPlan (per-level operators + shared M2L bank + sealed
-// DAG skeleton). A cache hit therefore skips operator construction and DAG
-// structure building; the per-request remainder (tree, lists, arenas, the
-// solve itself) is what the worker still executes. The schedule-DP result
-// lives in model::ScheduleMemo keyed by (plan key, point count) -- not
-// here, because the profiled phase workloads depend on the request size,
-// so one plan legitimately maps to several schedules.
+// same key: the FmmPlan (per-level operators + shared M2L bank). A cache
+// hit therefore skips operator construction; the per-request remainder
+// (tree, lists, arenas, the solve itself) is what the worker still
+// executes. The schedule-DP result lives in model::ScheduleMemo keyed by
+// (plan key, point count) -- not here, because the profiled phase
+// workloads depend on the request size, so one plan legitimately maps to
+// several schedules.
 //
 // Key contents: kernel spec (kind + parameter bits), surface order p,
 // max points per box Q, tree depth, and the domain bits -- every input the

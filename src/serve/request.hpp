@@ -46,16 +46,18 @@ struct FmmRequest {
 enum class ServeStatus : std::uint8_t {
   kOk,       ///< solved; potentials are valid
   kShed,     ///< admission control rejected the request (queue full)
-  kInvalid,  ///< malformed request (empty/mismatched arrays, out-of-domain)
+  kInvalid,  ///< rejected at admission by validate_request
   kError,    ///< the solve failed server-side; `error` has the reason
 };
 
 /// Protocol validation: empty string when `req` is well-formed, otherwise a
-/// human-readable reason. Checks non-empty points, densities/points size
-/// agreement, and that every point lies inside kServeDomain -- the contract
-/// the fixed-root tree build depends on. The server runs this at admission
-/// (submit / serve_now) and answers violations with ServeStatus::kInvalid
-/// instead of letting a contract failure escape a worker thread.
+/// stable human-readable reason. Checks non-empty points, densities/points
+/// size agreement, p inside the [FmmConfig::kMinP, kMaxP] range Operators
+/// supports, max_points_per_box >= 1, a finite Yukawa lambda >= 0 or a
+/// finite Gaussian sigma > 0, every point inside kServeDomain (the contract
+/// the fixed-root tree build depends on), and finite densities. The server
+/// runs this at admission (submit / serve_now) and answers violations with
+/// ServeStatus::kInvalid, so kError is left for real server faults.
 std::string validate_request(const FmmRequest& req);
 
 /// The chosen per-phase DVFS schedule, in the canonical phase order

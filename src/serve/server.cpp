@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -28,9 +29,24 @@ std::string validate_request(const FmmRequest& req) {
     return "densities/points size mismatch (" +
            std::to_string(req.densities.size()) + " vs " +
            std::to_string(req.points.size()) + ")";
+  if (req.p < fmm::FmmConfig::kMinP || req.p > fmm::FmmConfig::kMaxP)
+    return "surface order p=" + std::to_string(req.p) + " outside [" +
+           std::to_string(fmm::FmmConfig::kMinP) + ", " +
+           std::to_string(fmm::FmmConfig::kMaxP) + "]";
+  if (req.max_points_per_box == 0) return "max_points_per_box must be >= 1";
+  const double param = req.kernel.param;
+  if (req.kernel.kind == KernelKind::kYukawa &&
+      !(std::isfinite(param) && param >= 0))
+    return "Yukawa lambda must be finite and >= 0";
+  if (req.kernel.kind == KernelKind::kGaussian &&
+      !(std::isfinite(param) && param > 0))
+    return "Gaussian sigma must be finite and > 0";
   for (std::size_t i = 0; i < req.points.size(); ++i)
     if (!kServeDomain.contains(req.points[i]))
       return "point " + std::to_string(i) + " outside the protocol domain";
+  for (std::size_t i = 0; i < req.densities.size(); ++i)
+    if (!std::isfinite(req.densities[i]))
+      return "density " + std::to_string(i) + " is not finite";
   return {};
 }
 
@@ -196,7 +212,6 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
   const ServePlan& sp = *cached.value;
 
   fmm::FmmEvaluator ev(sp.plan, std::move(tree));
-  ev.set_executor(cfg_.executor);
 
   if (cfg_.schedule_ctx) {
     const ScheduleContext& ctx = *cfg_.schedule_ctx;
@@ -245,14 +260,10 @@ std::shared_ptr<const ServePlan> FmmServer::build_plan(
 
   fmm::FmmConfig fcfg;
   fcfg.p = req.p;
-  auto plan = std::make_shared<fmm::FmmPlan>(
-      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
-  plan->attach_dag_skeleton(fmm::build_fmm_dag_skeleton(
-      tree, fmm::build_lists(tree), fcfg.use_fft_m2l));
-
   auto sp = std::make_shared<ServePlan>();
   sp->key = key;
-  sp->plan = plan;
+  sp->plan = std::make_shared<const fmm::FmmPlan>(
+      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
   return sp;
 }
 

@@ -5,8 +5,8 @@
 // potentials plus the per-phase DVFS schedule the chain DP picked for the
 // request's plan. The headline mechanism is the plan cache: requests that
 // resolve to the same (kernel, accuracy, depth) key share one FmmPlan --
-// per-level operators, the M2L bank, the sealed DAG skeleton -- so a cache
-// hit skips operator construction and DAG structure building. The
+// per-level operators and the M2L bank -- so a cache hit skips operator
+// construction. The
 // schedule-DP result is memoized separately per (plan key, point count):
 // the first request with that shape profiles its phase workloads and runs
 // the DP once; every repeat of the shape skips the search.
@@ -59,7 +59,6 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;  ///< admission-control bound
   std::size_t plan_cache_capacity = 16;  ///< 0 = no caching (cold mode)
   std::size_t plan_cache_shards = 4;
-  fmm::FmmExecutor executor = fmm::FmmExecutor::kDag;
   std::shared_ptr<const ScheduleContext> schedule_ctx;  ///< may be null
 };
 

@@ -1,7 +1,7 @@
 // FmmSession: the incremental-evaluation contract. After every move_to the
 // session's potentials must be bitwise identical to a fresh FmmEvaluator
 // built from scratch over the same positions -- across OMP thread counts
-// and both executors -- and the FmmPlan must be reused across rebuilds
+// -- and the FmmPlan must be reused across rebuilds
 // until the tree actually outgrows it.
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ void set_threads(int n) {
 }
 
 /// Positions after each of `steps` Langevin steps -- a pure function of the
-/// seed, so every (executor, thread-count) run prices the same trajectory.
+/// seed, so every thread-count run prices the same trajectory.
 std::vector<std::vector<Vec3>> trajectory(std::size_t n, int steps,
                                           std::uint64_t seed) {
   auto ps = dynamics::ParticleSystem::random(n, kDomain, seed);
@@ -61,9 +61,10 @@ double operator_builds(const trace::TraceSession& session) {
 
 // The acceptance-criteria differential: a 32-step trajectory, every step's
 // potentials bitwise-identical between the incremental session and a fresh
-// evaluator, across OMP thread counts {1, 2, 4} and both executors. The
-// fresh-evaluator reference is computed once (it is thread-count invariant,
-// which test_invariance pins); each session run is compared against it.
+// evaluator, across OMP thread counts {1, 2, 4}. The fresh-evaluator
+// reference is computed once (it is thread-count invariant, which
+// test_invariance pins); each session run is compared against it. (The
+// "AndExecutors" name dates from when a second executor existed.)
 TEST(FmmSession, ThirtyTwoStepDifferentialAcrossThreadsAndExecutors) {
   constexpr std::size_t kN = 1200;
   constexpr int kSteps = 32;
@@ -81,28 +82,25 @@ TEST(FmmSession, ThirtyTwoStepDifferentialAcrossThreadsAndExecutors) {
     ref.push_back(fresh.evaluate(dens));
   }
 
-  for (const FmmExecutor exec : {FmmExecutor::kPhases, FmmExecutor::kDag}) {
-    for (const int threads : {1, 2, 4}) {
-      set_threads(threads);
-      FmmSession session(laplace(), traj.front(), {tp, fcfg, exec});
-      std::vector<double> phi(kN);
-      for (int s = 0; s < kSteps; ++s) {
-        session.move_to(traj[static_cast<std::size_t>(s)]);
-        session.evaluate_into(dens, phi);
-        ASSERT_EQ(std::memcmp(phi.data(),
-                              ref[static_cast<std::size_t>(s)].data(),
-                              kN * sizeof(double)),
-                  0)
-            << "step " << s << " executor " << static_cast<int>(exec)
-            << " threads " << threads;
-      }
-      const auto& st = session.stats();
-      EXPECT_EQ(st.moves, static_cast<std::uint64_t>(kSteps));
-      EXPECT_EQ(st.refits + st.rebuilds, st.moves);
-      // The trajectory must exercise the steady-state path, not just fall
-      // back to rebuilds.
-      EXPECT_GT(st.refits, 0u);
+  for (const int threads : {1, 2, 4}) {
+    set_threads(threads);
+    FmmSession session(laplace(), traj.front(), {tp, fcfg});
+    std::vector<double> phi(kN);
+    for (int s = 0; s < kSteps; ++s) {
+      session.move_to(traj[static_cast<std::size_t>(s)]);
+      session.evaluate_into(dens, phi);
+      ASSERT_EQ(std::memcmp(phi.data(),
+                            ref[static_cast<std::size_t>(s)].data(),
+                            kN * sizeof(double)),
+                0)
+          << "step " << s << " threads " << threads;
     }
+    const auto& st = session.stats();
+    EXPECT_EQ(st.moves, static_cast<std::uint64_t>(kSteps));
+    EXPECT_EQ(st.refits + st.rebuilds, st.moves);
+    // The trajectory must exercise the steady-state path, not just fall
+    // back to rebuilds.
+    EXPECT_GT(st.refits, 0u);
   }
   set_threads(4);
 }

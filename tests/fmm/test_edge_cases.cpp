@@ -1,8 +1,6 @@
 // Degenerate and adversarial inputs the library must survive.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "fmm/direct.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/pointgen.hpp"
@@ -184,29 +182,18 @@ TEST(EdgeCases, DomainBoundaryPointsAreAcceptedAndBinHighest) {
                util::ContractError);
 }
 
-// -- degenerate trees feeding the DAG builder -------------------------------
+// -- degenerate trees --------------------------------------------------------
 //
-// The task-graph builder consumes the octree and its interaction lists
-// as-is, so the structural invariants it leans on (leaves are never empty;
-// every v/w source carries an expansion slot) and the pathological shapes
-// (depth-0 single leaf, a single-occupied-octant chain) get explicit
-// coverage, each evaluated under both executors.
-
-::testing::AssertionResult bits_equal(const std::vector<double>& a,
-                                      const std::vector<double>& b) {
-  if (a.size() != b.size())
-    return ::testing::AssertionFailure() << "size mismatch";
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0)
-      return ::testing::AssertionFailure()
-             << "bit mismatch at [" << i << "]: " << a[i] << " vs " << b[i];
-  return ::testing::AssertionSuccess();
-}
+// The phase sweeps consume the octree and its interaction lists as-is, so
+// the structural invariants they lean on (leaves are never empty; every v/w
+// source carries an expansion slot) and the pathological shapes (depth-0
+// single leaf, a single-occupied-octant chain) get explicit coverage. (The
+// "UnderBothExecutors" names date from when a second executor existed.)
 
 TEST(EdgeCases, LeavesAreNeverEmpty) {
   // The octree only materializes non-empty children (including during
   // balance ripple-splitting), so every leaf holds at least one point --
-  // the invariant that lets the DAG builder emit a U task per leaf without
+  // the invariant that lets the U sweep run over every leaf without
   // empties. Checked across adversarial distributions.
   util::Rng rng(75);
   std::vector<std::vector<Vec3>> sets;
@@ -241,8 +228,7 @@ TEST(EdgeCases, LeavesAreNeverEmpty) {
 
 TEST(EdgeCases, SingleLeafDepthZeroTreeUnderBothExecutors) {
   // Few points, large Q: the tree is one root leaf at level 0. No node
-  // carries an expansion, so the DAG degenerates to U tasks only -- and
-  // must still agree with the phases path bit for bit.
+  // carries an expansion, so only the U sweep contributes.
   util::Rng rng(76);
   const auto pts = uniform_cube(24, rng);
   const auto dens = random_densities(24, rng);
@@ -251,22 +237,17 @@ TEST(EdgeCases, SingleLeafDepthZeroTreeUnderBothExecutors) {
   ASSERT_EQ(ev.tree().max_depth(), 0);
   ASSERT_EQ(ev.tree().leaves().size(), 1u);
 
-  const auto phases = ev.evaluate(dens);
-  ev.set_executor(FmmExecutor::kDag);
-  EXPECT_TRUE(bits_equal(ev.evaluate(dens), phases));
-  for (std::size_t t = 0; t < ev.task_graph().task_count(); ++t)
-    EXPECT_EQ(ev.task_graph().tag(static_cast<int>(t)), kDagTagU);
-
+  const auto phi = ev.evaluate(dens);
   const auto ref = direct_sum(kernel, pts, pts, dens);
-  EXPECT_LT(rel_l2_error(phases, ref), 1e-9);
+  EXPECT_LT(rel_l2_error(phi, ref), 1e-9);
 }
 
 TEST(EdgeCases, AllPointsInOneOctantChainUnderBothExecutors) {
   // Nearly every point inside one octant of one octant ...: a lone anchor
   // point at the far corner pins the (point-fitted) root box, so the upper
   // tree is a chain of levels holding almost nothing but the cluster's
-  // octant and most interaction lists are empty. The DAG must stay acyclic
-  // and complete, and match the phases path bitwise.
+  // octant and most interaction lists are empty. The sweeps must still
+  // reach the direct sum's accuracy.
   util::Rng rng(78);
   std::vector<Vec3> pts;
   for (int i = 0; i < 600; ++i)
@@ -279,13 +260,9 @@ TEST(EdgeCases, AllPointsInOneOctantChainUnderBothExecutors) {
                   FmmConfig{.p = 4});
   EXPECT_GE(ev.tree().max_depth(), 4);
 
-  const auto phases = ev.evaluate(dens);
-  ev.set_executor(FmmExecutor::kDag);
-  const auto dag = ev.evaluate(dens);
-  EXPECT_TRUE(bits_equal(dag, phases));
-
+  const auto phi = ev.evaluate(dens);
   const auto ref = direct_sum(kernel, pts, pts, dens);
-  EXPECT_LT(rel_l2_error(dag, ref), 5e-3);
+  EXPECT_LT(rel_l2_error(phi, ref), 5e-3);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // FmmPlan: operator sharing (the "fmm.operators.builds" regression hook
 // proving two evaluators on one plan build operators once, while the legacy
-// API builds per construction), DAG-skeleton adoption (bitwise-identical
-// results plan-shared vs locally built), the structural-signature fallback,
-// and the plan constructor's contract checks.
+// API builds per construction), bitwise-identical results plan-shared vs
+// locally built, and the plan constructor's contract checks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -100,74 +99,6 @@ TEST(FmmPlan, SharedPlanMatchesLegacyBitwise) {
       FmmConfig{.p = 4});
   FmmEvaluator shared(plan, pts, tp);
   EXPECT_TRUE(bitwise_equal(shared.evaluate(dens), want));
-}
-
-TEST(FmmPlan, AdoptedSkeletonMatchesLocalBuildBitwise) {
-  constexpr std::size_t kN = 512;
-  util::Rng rng(13);
-  const auto pts = uniform_cube(kN, rng);
-  const auto dens = random_densities(kN, rng);
-  const auto tp = uniform_params(kN, 8);
-  const auto kernel = std::make_shared<LaplaceKernel>();
-  const FmmConfig cfg{.p = 4};
-
-  // Plan WITH a skeleton, built from an equal-structure tree of different
-  // points: the evaluator must adopt it (signatures match).
-  Octree donor(uniform_cube(kN, rng), tp);
-  auto plan = std::make_shared<FmmPlan>(kernel, kDomain.half,
-                                        tp.uniform_depth, cfg);
-  plan->attach_dag_skeleton(
-      build_fmm_dag_skeleton(donor, build_lists(donor), cfg.use_fft_m2l));
-  ASSERT_NE(plan->dag_skeleton(), nullptr);
-
-  // Plan WITHOUT a skeleton: the evaluator builds one locally.
-  auto bare = std::make_shared<FmmPlan>(kernel, kDomain.half,
-                                        tp.uniform_depth, cfg);
-
-  FmmEvaluator adopted(plan, pts, tp);
-  FmmEvaluator local(bare, pts, tp);
-  adopted.set_executor(FmmExecutor::kDag);
-  local.set_executor(FmmExecutor::kDag);
-  const auto want = local.evaluate(dens);
-  EXPECT_TRUE(bitwise_equal(adopted.evaluate(dens), want));
-
-  // And both match the phases executor exactly.
-  FmmEvaluator phases(plan, pts, tp);
-  EXPECT_TRUE(bitwise_equal(phases.evaluate(dens), want));
-}
-
-TEST(FmmPlan, SignatureMismatchFallsBackToLocalSkeleton) {
-  util::Rng rng(17);
-  const FmmConfig cfg{.p = 4};
-  const auto kernel = std::make_shared<LaplaceKernel>();
-
-  // Plan for depth 3, skeleton built from a depth-3 tree.
-  const auto tp3 = uniform_params(4096, 8);
-  ASSERT_GE(tp3.uniform_depth, 3);
-  Octree donor(uniform_cube(4096, rng), tp3);
-  auto plan =
-      std::make_shared<FmmPlan>(kernel, kDomain.half, tp3.uniform_depth, cfg);
-  plan->attach_dag_skeleton(
-      build_fmm_dag_skeleton(donor, build_lists(donor), cfg.use_fft_m2l));
-
-  // Serve a shallower tree through the same plan: signature differs, so the
-  // evaluator builds its own skeleton -- and stays bitwise correct.
-  constexpr std::size_t kN = 512;
-  const auto tp2 = uniform_params(kN, 8);
-  ASSERT_LT(tp2.uniform_depth, tp3.uniform_depth);
-  const auto pts = uniform_cube(kN, rng);
-  const auto dens = random_densities(kN, rng);
-  EXPECT_NE(tree_structure_signature(Octree(pts, tp2)),
-            plan->dag_skeleton()->tree_signature);
-
-  static const LaplaceKernel ref_kernel;
-  FmmEvaluator ref(ref_kernel, pts, tp2, cfg);
-  ref.set_executor(FmmExecutor::kDag);
-  const auto want = ref.evaluate(dens);
-
-  FmmEvaluator ev(plan, pts, tp2);
-  ev.set_executor(FmmExecutor::kDag);
-  EXPECT_TRUE(bitwise_equal(ev.evaluate(dens), want));
 }
 
 TEST(FmmPlan, RejectsMismatchedTree) {

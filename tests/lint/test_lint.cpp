@@ -5,6 +5,7 @@
 // EROOF_LINT_FIXTURES and EROOF_LINT_BIN are injected by tests/CMakeLists.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -83,10 +84,9 @@ TEST(LintRules, AllocationOutsideHotRegionIsFine) {
 }
 
 TEST(LintRules, FlagsAllocationsInExecutorWorkerLoop) {
-  // The task-graph executor's replay loop is the repo's newest hot region:
-  // per-task strings, type-erased bodies, heap scratch, and container growth
-  // are all banned there, while graph-build code below the region may
-  // allocate freely.
+  // A task-graph worker loop is a hot region: per-task strings, type-erased
+  // bodies, heap scratch, and container growth are all banned there, while
+  // graph-build code below the region may allocate freely.
   const auto rep = lint_file(fixture("bad_executor.cpp"), Options{});
   const std::vector<std::pair<int, std::string>> expected = {
       {17, "hot-alloc"},
@@ -400,9 +400,12 @@ struct RunResult {
 };
 
 RunResult run_lint(const std::string& args) {
-  static int counter = 0;
-  const std::string out_path = ::testing::TempDir() + "eroof_lint_out_" +
-                               std::to_string(counter++) + ".txt";
+  // Unique per process and test: ctest runs every discovered case in its own
+  // process, concurrently under -j, all sharing one TempDir().
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string out_path =
+      ::testing::TempDir() + "eroof_lint_out_" + std::to_string(getpid()) +
+      "_" + info->test_suite_name() + "." + info->name() + ".txt";
   const std::string cmd = std::string(EROOF_LINT_BIN) + " " + args + " > " +
                           out_path + " 2>/dev/null";
   const int status = std::system(cmd.c_str());

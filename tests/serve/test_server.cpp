@@ -11,9 +11,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fmm/evaluator.hpp"
@@ -46,7 +49,7 @@ WorkloadConfig small_workload() {
 }
 
 /// The contract's reference: a fresh evaluator, built from scratch (its own
-/// plan, no sharing), run single-threaded with the phases executor.
+/// plan, no sharing), run single-threaded.
 std::vector<double> reference_solve(const FmmRequest& req) {
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
@@ -208,13 +211,65 @@ TEST(FmmServer, InvalidRequestsAreRejectedAtAdmissionNotCrashed) {
 
 TEST(FmmServer, ValidateRequestEnforcesTheProtocolDomain) {
   const WorkloadConfig wl = small_workload();
-  FmmRequest req = make_request(wl, 0);
-  EXPECT_TRUE(validate_request(req).empty());
-  req.points[3] = {0.5, 0.5, 1.0 + 1e-9};  // barely past the +z face
-  EXPECT_FALSE(validate_request(req).empty());
-  req = make_request(wl, 0);
-  req.points.clear();
-  EXPECT_FALSE(validate_request(req).empty());
+  const FmmRequest good = make_request(wl, 0);
+  EXPECT_TRUE(validate_request(good).empty());
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+
+  // Each mutation of a valid request must be rejected with a reason that
+  // names the problem, never internal file:line contract text.
+  std::vector<std::pair<std::string, std::function<void(FmmRequest&)>>> bad = {
+      {"outside", [](FmmRequest& r) { r.points[3] = {0.5, 0.5, 1.0 + 1e-9}; }},
+      {"no points", [](FmmRequest& r) { r.points.clear(); }},
+      {"p=", [](FmmRequest& r) { r.p = 0; }},
+      {"p=", [](FmmRequest& r) { r.p = 1; }},
+      {"p=", [](FmmRequest& r) { r.p = -3; }},
+      {"p=", [](FmmRequest& r) { r.p = 17; }},
+      {"max_points_per_box", [](FmmRequest& r) { r.max_points_per_box = 0; }},
+      {"density", [](FmmRequest& r) { r.densities[5] = nan; }},
+      {"density", [](FmmRequest& r) { r.densities[0] = -inf; }},
+      {"Yukawa", [](FmmRequest& r) { r.kernel = {KernelKind::kYukawa, nan}; }},
+      {"Yukawa", [](FmmRequest& r) { r.kernel = {KernelKind::kYukawa, inf}; }},
+      {"Yukawa", [](FmmRequest& r) { r.kernel = {KernelKind::kYukawa, -1.0}; }},
+      {"Gaussian",
+       [](FmmRequest& r) { r.kernel = {KernelKind::kGaussian, nan}; }},
+      {"Gaussian",
+       [](FmmRequest& r) { r.kernel = {KernelKind::kGaussian, inf}; }},
+      {"Gaussian", [](FmmRequest& r) { r.kernel = {KernelKind::kGaussian, 0}; }},
+      {"Gaussian",
+       [](FmmRequest& r) { r.kernel = {KernelKind::kGaussian, -0.5}; }},
+  };
+  for (const auto& [needle, mutate] : bad) {
+    FmmRequest req = good;
+    mutate(req);
+    const std::string reason = validate_request(req);
+    EXPECT_NE(reason.find(needle), std::string::npos)
+        << "want '" << needle << "' in '" << reason << "'";
+    EXPECT_EQ(reason.find(".cpp:"), std::string::npos) << reason;
+  }
+
+  // The domain boundaries themselves are valid.
+  for (const auto& mutate : std::vector<std::function<void(FmmRequest&)>>{
+           [](FmmRequest& r) { r.p = 3; },
+           [](FmmRequest& r) { r.p = 16; },
+           [](FmmRequest& r) { r.max_points_per_box = 1; },
+           [](FmmRequest& r) { r.kernel = {KernelKind::kYukawa, 0.0}; },
+           [](FmmRequest& r) { r.kernel = {KernelKind::kLaplace, nan}; }}) {
+    FmmRequest req = good;
+    mutate(req);
+    EXPECT_TRUE(validate_request(req).empty()) << validate_request(req);
+  }
+
+  // A p the operators cannot build is an admission rejection, not a
+  // server-side fault.
+  FmmServer server(ServerConfig{});
+  FmmRequest neg_p = good;
+  neg_p.p = -3;
+  const FmmResponse resp = server.serve_now(neg_p);
+  EXPECT_EQ(resp.status, ServeStatus::kInvalid);
+  EXPECT_TRUE(resp.potentials.empty());
+  EXPECT_EQ(server.stats().errors, 0u);
+  EXPECT_EQ(server.stats().invalid, 1u);
 }
 
 TEST(FmmServer, SubmitAfterShutdownSheds) {

@@ -1,7 +1,8 @@
 // Golden regression: one FmmEvaluator::evaluate emits exactly one span per
 // paper phase (UP/U/V/W/X/DOWN, category "fmm.phase"), nested under one
-// "evaluate" span, with span args and registry totals matching the
-// evaluator's own FmmStats tallies exactly.
+// "evaluate" span and disjoint in time (wall time, not busy time), with span
+// args and registry totals matching the evaluator's own FmmStats tallies
+// exactly.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -67,6 +68,29 @@ TEST(FmmTrace, OneSpanPerPhaseWithTalliesMatchingStats) {
   EXPECT_EQ(eval_count, 1);
   ASSERT_EQ(phase_count.size(), 6u);
   for (const char* p : kPhases) EXPECT_EQ(phase_count[p], 1) << p;
+
+  // Phases run one after another, so the phase spans are wall time: inside
+  // the evaluate span and pairwise disjoint, in emission (= phase) order.
+  // Start and duration are each truncated to whole microseconds, hence the
+  // 1 us slack.
+  const trace::SpanEvent* eval = nullptr;
+  std::vector<const trace::SpanEvent*> phases;
+  for (const auto& s : spans) {
+    if (s.category == "fmm.phase") phases.push_back(&s);
+    if (s.category == "fmm" && s.name == "evaluate") eval = &s;
+  }
+  ASSERT_NE(eval, nullptr);
+  const auto end_us = [](const trace::SpanEvent* s) {
+    return s->start_us + s->dur_us;
+  };
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_GE(phases[i]->start_us, eval->start_us) << phases[i]->name;
+    EXPECT_LE(end_us(phases[i]), end_us(eval) + 1) << phases[i]->name;
+    if (i > 0) {
+      EXPECT_LE(end_us(phases[i - 1]), phases[i]->start_us + 1)
+          << phases[i - 1]->name << " overlaps " << phases[i]->name;
+    }
+  }
 
   // Span args and registry totals reproduce the FmmStats tallies exactly.
   const auto totals = session.counter_totals();
