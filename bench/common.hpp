@@ -49,8 +49,7 @@ struct Platform {
 
 inline Platform make_platform(std::uint64_t seed = 42) {
   Platform p;
-  util::Rng rng(seed);
-  p.campaign = ub::paper_campaign(p.soc, p.pm, rng);
+  p.campaign = ub::paper_campaign(p.soc, p.pm, util::RngStream(seed));
   const auto train = p.samples(hw::SettingRole::kTrain);
   p.model = model::fit_energy_model(train).model;
   return p;
@@ -84,7 +83,7 @@ inline fmm::FmmGpuProfile profile_fmm_input(const FmmInput& in, int p = 4) {
 }
 
 /// Runs all six phases at `setting` and accumulates (time, measured energy,
-/// counts).
+/// counts). Phase i draws its noise from stream.fork(i).
 struct FmmRunResult {
   double time_s = 0;
   double energy_j = 0;
@@ -94,10 +93,11 @@ struct FmmRunResult {
 inline FmmRunResult run_fmm_profile(const Platform& p,
                                     const fmm::FmmGpuProfile& prof,
                                     const hw::DvfsSetting& setting,
-                                    util::Rng& rng) {
+                                    const util::RngStream& stream) {
   FmmRunResult r;
-  for (const auto& ph : prof.phases) {
-    const auto m = p.soc.run(ph.workload, setting, p.pm, rng);
+  for (std::size_t i = 0; i < prof.phases.size(); ++i) {
+    const auto& ph = prof.phases[i];
+    const auto m = p.soc.run(ph.workload, setting, p.pm, stream.fork(i));
     r.time_s += m.time_s;
     r.energy_j += m.energy_j;
     r.ops += ph.workload.ops;

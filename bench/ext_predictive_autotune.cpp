@@ -19,7 +19,7 @@ int main() {
   const auto platform = bench::make_platform();
   const auto time_model = model::fit_time_model(platform.all_samples()).model;
   const auto grid = hw::full_grid();
-  util::Rng rng(202);
+  const util::RngStream root(202);
 
   std::cout << "Extension: predictive autotuning (no per-setting runs) vs "
                "the paper's measured-time tuner vs race-to-halt\n\n";
@@ -37,7 +37,7 @@ int main() {
     std::vector<double> lost_oracle;
     for (const auto& point : ub::intensity_sweep(cls)) {
       const auto ms = model::measure_grid(platform.soc, point.workload, grid,
-                                          platform.pm, rng);
+                                          platform.pm, root);
       double best = 1e300;
       for (const auto& m : ms) best = std::min(best, m.energy_j);
 

@@ -42,13 +42,13 @@ int main() {
                       {"setting", "input", "measured_j", "predicted_j",
                        "error_pct"});
 
-  util::Rng rng(11);
+  const util::RngStream root(11);
   std::vector<double> errors;
   for (const auto& in : bench::kFmmInputs) {
     const auto prof = bench::profile_fmm_input(in);
     for (std::size_t si = 0; si < settings.size(); ++si) {
       const auto run = bench::run_fmm_profile(platform, prof, settings[si],
-                                              rng);
+                                              root.fork(in.id).fork(si));
       const double pred =
           platform.model.predict_energy_j(run.ops, settings[si], run.time_s);
       const double err = util::relative_error_pct(pred, run.energy_j);

@@ -63,8 +63,8 @@ void BM_PaperCampaign(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   for (auto _ : state) {
-    util::Rng rng(kCampaignSeed);
-    auto samples = ub::paper_campaign(soc, pm, rng);
+    auto samples =
+        ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
     benchmark::DoNotOptimize(samples.data());
   }
 }
@@ -73,8 +73,8 @@ BENCHMARK(BM_PaperCampaign)->Unit(benchmark::kMillisecond);
 void BM_FitEnergyModel(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign =
+      ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -89,8 +89,8 @@ BENCHMARK(BM_FitEnergyModel)->Unit(benchmark::kMillisecond);
 void BM_KfoldValidation(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign =
+      ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
   std::vector<model::FitSample> all;
   for (const auto& s : campaign) all.push_back(model::to_fit_sample(s.meas));
   for (auto _ : state) {
@@ -104,8 +104,8 @@ BENCHMARK(BM_KfoldValidation)->Unit(benchmark::kMillisecond);
 void BM_LeaveOneSettingOut(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign =
+      ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
   std::vector<model::FitSample> all;
   for (const auto& s : campaign) all.push_back(model::to_fit_sample(s.meas));
   for (auto _ : state) {
@@ -118,8 +118,8 @@ BENCHMARK(BM_LeaveOneSettingOut)->Unit(benchmark::kMillisecond);
 void BM_MeasureGridAutotune(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign =
+      ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -128,8 +128,9 @@ void BM_MeasureGridAutotune(benchmark::State& state) {
   const auto w = tune_workload();
   const auto grid = hw::full_grid();
   for (auto _ : state) {
-    util::Rng grng(kGridSeed);
-    const auto ms = model::measure_grid(soc, w, grid, pm, grng, kGridRepeats);
+    const auto ms = model::measure_grid(soc, w, grid, pm,
+                                        util::RngStream(kGridSeed),
+                                        kGridRepeats);
     auto out = model::autotune(m, ms);
     benchmark::DoNotOptimize(&out);
   }
@@ -190,8 +191,8 @@ Outputs run_pipeline(const hw::Soc& soc, const hw::PowerMon& pm, Run& run) {
   std::array<double, std::size(kStages)> ms{};
 
   double t0 = now_ms();
-  util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign =
+      ub::paper_campaign(soc, pm, util::RngStream(kCampaignSeed));
   ms[0] = now_ms() - t0;
 
   out.campaign_values.reserve(3 * campaign.size());
@@ -228,10 +229,10 @@ Outputs run_pipeline(const hw::Soc& soc, const hw::PowerMon& pm, Run& run) {
   out.loso_max = loso.summary.max;
 
   t0 = now_ms();
-  util::Rng grng(kGridSeed);
   const auto grid = hw::full_grid();
   const auto measured =
-      model::measure_grid(soc, tune_workload(), grid, pm, grng, kGridRepeats);
+      model::measure_grid(soc, tune_workload(), grid, pm,
+                          util::RngStream(kGridSeed), kGridRepeats);
   const auto tuned = model::autotune(fit.model, measured);
   ms[4] = now_ms() - t0;
   out.model_idx = tuned.model_idx;

@@ -38,7 +38,7 @@ void BM_PowerMonMeasure(benchmark::State& state) {
   const hw::PowerMon pm;
   util::Rng rng(1);
   for (auto _ : state) {
-    auto t = pm.measure(1.0, [](double) { return 7.0; }, rng);
+    auto t = pm.measure_constant(1.0, 7.0, rng);
     benchmark::DoNotOptimize(&t);
   }
 }
@@ -48,8 +48,7 @@ void BM_PaperCampaign(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   for (auto _ : state) {
-    util::Rng rng(2);
-    auto samples = ub::paper_campaign(soc, pm, rng);
+    auto samples = ub::paper_campaign(soc, pm, util::RngStream(2));
     benchmark::DoNotOptimize(samples.data());
   }
   state.SetLabel("1856 samples");

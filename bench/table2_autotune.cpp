@@ -18,7 +18,7 @@ int main() {
   using namespace eroof;
   const auto platform = bench::make_platform();
   const auto grid = hw::full_grid();
-  util::Rng rng(101);
+  const util::RngStream root(101);
 
   std::cout << "Table II: energy autotuning -- fitted model vs time oracle "
                "(race-to-halt) across the 105-setting grid\n\n";
@@ -40,7 +40,7 @@ int main() {
     for (const auto& point : sweep) {
       const auto ms =
           model::measure_grid(platform.soc, point.workload, grid,
-                              platform.pm, rng);
+                              platform.pm, root);
       const auto out = model::autotune(platform.model, ms);
       if (!out.model_correct) {
         ++model_wrong;

@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   // Fit the platform model once.
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon meter;
-  util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, meter, rng);
+  const auto campaign = ub::paper_campaign(soc, meter, util::RngStream(42));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -41,6 +40,7 @@ int main(int argc, char** argv) {
 
   // Build and profile the FMM.
   const fmm::LaplaceKernel kernel;
+  util::Rng rng(42);
   const auto pts = fmm::uniform_cube(n, rng);
   fmm::FmmEvaluator ev(
       kernel, pts,

@@ -17,8 +17,7 @@ int main() {
 
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon meter;
-  util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, meter, rng);
+  const auto campaign = ub::paper_campaign(soc, meter, util::RngStream(42));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)

@@ -10,13 +10,6 @@ namespace eroof::model {
 std::vector<hw::Measurement> measure_grid(
     const hw::Soc& soc, const hw::Workload& w,
     std::span<const hw::DvfsSetting> grid, const hw::PowerMon& monitor,
-    util::Rng& rng, int repeats) {
-  return measure_grid(soc, w, grid, monitor, util::RngStream(rng()), repeats);
-}
-
-std::vector<hw::Measurement> measure_grid(
-    const hw::Soc& soc, const hw::Workload& w,
-    std::span<const hw::DvfsSetting> grid, const hw::PowerMon& monitor,
     const util::RngStream& root, int repeats) {
   EROOF_REQUIRE(repeats >= 1);
   const std::size_t nruns = grid.size() * static_cast<std::size_t>(repeats);

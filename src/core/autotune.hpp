@@ -16,15 +16,9 @@ namespace eroof::model {
 /// Measurements of one workload across candidate DVFS settings; each
 /// setting is measured `repeats` times and averaged (the measured minimum
 /// is meaningless if single-shot noise exceeds the separation between
-/// settings).
-std::vector<hw::Measurement> measure_grid(
-    const hw::Soc& soc, const hw::Workload& w,
-    std::span<const hw::DvfsSetting> grid, const hw::PowerMon& monitor,
-    util::Rng& rng, int repeats = 3);
-
-/// Stream-based grid measurement: every (setting, repeat) run is measured in
-/// parallel from its own stream, forked off `root` by (workload name, setting
-/// label, repeat index); repeats are then averaged serially in repeat order.
+/// settings). Every (setting, repeat) run is measured in parallel from its
+/// own stream, forked off `root` by (workload name, setting label, repeat
+/// index); repeats are then averaged serially in repeat order.
 /// Results are bitwise-identical across thread counts and grid iteration
 /// order.
 std::vector<hw::Measurement> measure_grid(

@@ -36,52 +36,6 @@ double PowerMon::quantize(double watts) const {
          cfg_.full_scale_w;
 }
 
-PowerTrace PowerMon::measure(double duration_s,
-                             const std::function<double(double)>& power_w,
-                             util::Rng& rng) const {
-  EROOF_REQUIRE(duration_s >= 0);
-  const double dt = 1.0 / cfg_.sample_hz;
-  // Always bracket the run with endpoint samples; short kernels (shorter
-  // than one sample period, or instantaneous probes at duration 0) degrade
-  // to a 2-point trapezoid, exactly as a physical meter limited by its
-  // sampling rate would.
-  const std::size_t nsamples =
-      std::max<std::size_t>(2, static_cast<std::size_t>(duration_s / dt) + 1);
-  const double step = duration_s / static_cast<double>(nsamples - 1);
-
-  // When a trace session is installed, the sample stream is mirrored into
-  // it as a "power_w" counter track anchored at the wall-clock moment this
-  // measurement started, with samples spread over the *simulated* duration
-  // -- so a single trace file overlays the power curve on the phase spans.
-  trace::TraceSession* ts = trace::session();
-  const std::int64_t base_us = ts ? ts->now_us() : 0;
-
-  PowerTrace trace;
-  trace.duration_s = duration_s;
-  trace.samples_w.reserve(nsamples);
-  for (std::size_t i = 0; i < nsamples; ++i) {
-    const double t = static_cast<double>(i) * step;
-    const double noisy = power_w(t) + rng.normal(0.0, cfg_.noise_w);
-    trace.samples_w.push_back(quantize(noisy));
-    if (ts)
-      ts->emit_counter("power_w",
-                       base_us + static_cast<std::int64_t>(t * 1e6),
-                       trace.samples_w.back());
-  }
-
-  double energy = 0;
-  for (std::size_t i = 1; i < nsamples; ++i)
-    energy += 0.5 * (trace.samples_w[i - 1] + trace.samples_w[i]) * step;
-  trace.energy_j = energy;
-  trace.avg_power_w = average_power(energy, duration_s, trace.samples_w);
-  if (ts) {
-    ts->add_counter_total("powermon.samples",
-                          static_cast<double>(nsamples));
-    ts->add_counter_total("powermon.energy_j", energy);
-  }
-  return trace;
-}
-
 PowerTrace PowerMon::measure_constant(double duration_s, double power_w,
                                       util::Rng& rng) const {
   EROOF_REQUIRE(duration_s >= 0);
@@ -96,8 +50,8 @@ PowerTrace PowerMon::measure_constant(double duration_s, double power_w,
   // loop below; the loop itself never allocates.
   trace.samples_w.resize(nsamples);  // eroof-lint: allow(hot-alloc)
   // eroof: hot-begin (batched sample path: quantize + trapezoid, no
-  // per-sample std::function or allocation -- this runs once per campaign
-  // cell inside the parallel region)
+  // per-sample allocation -- this runs once per campaign cell inside the
+  // parallel region)
   for (std::size_t i = 0; i < nsamples; ++i)
     trace.samples_w[i] = quantize(power_w + rng.normal(0.0, cfg_.noise_w));
 

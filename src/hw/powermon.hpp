@@ -6,7 +6,6 @@
 // energies differ from closed-form truth the way a physical campaign's would.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -41,8 +40,11 @@ class PowerMon {
 
   const PowerMonConfig& config() const { return cfg_; }
 
-  /// Samples `power_w(t)` over [0, duration_s] at the configured rate,
-  /// applying sensor noise and ADC quantization, and integrates.
+  /// Samples a run drawing constant `power_w` over [0, duration_s] at the
+  /// configured rate, applying sensor noise and ADC quantization, and
+  /// integrates. Does not touch the trace session, so it is safe to call
+  /// from parallel regions; callers that want the sample stream in the
+  /// trace mirror the returned PowerTrace later via mirror_to_session.
   ///
   /// Runs shorter than one sample period -- down to and including
   /// duration_s == 0 -- still bracket the run with the two endpoint
@@ -50,15 +52,6 @@ class PowerMon {
   /// this), so the trace never has an empty sample vector, its energy is
   /// the exact 2-point trapezoid 0.5 * (s0 + s1) * duration, and its
   /// average power stays finite. Negative durations are rejected.
-  PowerTrace measure(double duration_s,
-                     const std::function<double(double)>& power_w,
-                     util::Rng& rng) const;
-
-  /// Batched fast path for the (common) constant-power case: no per-sample
-  /// std::function dispatch and no trace-session interaction, so it is safe
-  /// to call from parallel regions. Same duration contract as measure():
-  /// sub-sample-period and zero-duration runs get the 2-point trapezoid. Callers that want the sample stream in
-  /// the trace mirror the returned PowerTrace later via mirror_to_session.
   PowerTrace measure_constant(double duration_s, double power_w,
                               util::Rng& rng) const;
 

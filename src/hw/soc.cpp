@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -101,9 +100,8 @@ double Soc::true_constant_power_w(const DvfsSetting& s) const {
                                   truth_.c1_mem_w_per_v * vm * bend(vm)) +
              truth_.p_misc_w;
   if (truth_.setting_sigma > 0) {
-    // Per-measurement label hashing: one small string per simulated cell,
-    // outside the batched per-sample loop.
-    util::Rng point_rng(std::hash<std::string>{}("pi0@" + s.label()));  // eroof-lint: allow(hot-alloc)
+    // Keyed by FNV-1a of the setting label: identical on every platform.
+    util::Rng point_rng(util::fnv1a64("pi0@" + s.label()));
     p *= 1.0 + truth_.setting_sigma * point_rng.normal();
   }
   return p;
@@ -152,10 +150,9 @@ double Soc::dynamic_power_w(const Workload& w, const DvfsSetting& s,
   // per-(workload, setting) component (DVFS-dependent codegen/refresh-rate
   // effects) that no 9-parameter model can absorb.
   if (truth_.activity_sigma > 0) {
-    // Per-measurement label hashing: two small strings per simulated cell,
-    // outside the batched per-sample loop.
-    util::Rng name_rng(std::hash<std::string>{}(w.name));  // eroof-lint: allow(hot-alloc)
-    util::Rng pair_rng(std::hash<std::string>{}(w.name + "@" + s.label()));  // eroof-lint: allow(hot-alloc)
+    // Keyed by FNV-1a of the labels: identical on every platform.
+    util::Rng name_rng(util::fnv1a64(w.name));
+    util::Rng pair_rng(util::fnv1a64(w.name + "@" + s.label()));
     e *= 1.0 + truth_.activity_sigma * name_rng.normal() +
          0.1 * truth_.activity_sigma * pair_rng.normal();
   }
@@ -166,14 +163,6 @@ double Soc::true_energy_j(const Workload& w, const DvfsSetting& s,
                           double time_s) const {
   return dynamic_power_w(w, s, time_s) * time_s +
          true_constant_power_w(s) * time_s;
-}
-
-Measurement Soc::run(const Workload& w, const DvfsSetting& s,
-                     const PowerMon& monitor, util::Rng& rng) const {
-  PowerTrace trace;
-  const Measurement m = run(w, s, monitor, util::RngStream(rng()), &trace);
-  PowerMon::mirror_to_session(trace);
-  return m;
 }
 
 SequenceMeasurement Soc::run_sequence(std::span<const Workload> phases,

@@ -177,18 +177,12 @@ class Soc {
   /// counter-visible op counts, the execution time, and the PowerMon
   /// energy (sampled, quantized, noisy; leakage sees thermal jitter).
   ///
-  /// Legacy entry point: advances the shared sequential `rng` by one draw to
-  /// derive a per-run stream, then forwards to the stream overload and
-  /// mirrors the sample trace into any installed trace session.
-  Measurement run(const Workload& w, const DvfsSetting& s,
-                  const PowerMon& monitor, util::Rng& rng) const;
-
-  /// Stream-based entry point: all measurement noise is drawn from a private
-  /// generator seeded by `stream`, so the result depends only on the stream
-  /// identity -- never on what other runs executed before it. Safe to call
-  /// concurrently. Does not touch the trace session; pass `trace_out` to
-  /// capture the PowerMon samples and mirror them later
-  /// (PowerMon::mirror_to_session) in a deterministic order.
+  /// All measurement noise is drawn from a private generator seeded by
+  /// `stream`, so the result depends only on the stream identity -- never
+  /// on what other runs executed before it. Safe to call concurrently. Does
+  /// not touch the trace session; pass `trace_out` to capture the PowerMon
+  /// samples and mirror them later (PowerMon::mirror_to_session) in a
+  /// deterministic order.
   Measurement run(const Workload& w, const DvfsSetting& s,
                   const PowerMon& monitor, const util::RngStream& stream,
                   PowerTrace* trace_out = nullptr) const;

@@ -10,14 +10,6 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
                                  const std::vector<BenchPoint>& points,
                                  const std::vector<hw::LabeledSetting>& settings,
                                  const hw::PowerMon& monitor,
-                                 util::Rng& rng) {
-  return run_campaign(soc, points, settings, monitor, util::RngStream(rng()));
-}
-
-std::vector<Sample> run_campaign(const hw::Soc& soc,
-                                 const std::vector<BenchPoint>& points,
-                                 const std::vector<hw::LabeledSetting>& settings,
-                                 const hw::PowerMon& monitor,
                                  const util::RngStream& root) {
   trace::ScopedSpan campaign_span("run_campaign", "ubench");
   const std::size_t npoints = points.size();
@@ -87,12 +79,6 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
     campaign_span.arg("settings", static_cast<double>(settings.size()));
   }
   return samples;
-}
-
-std::vector<Sample> paper_campaign(const hw::Soc& soc,
-                                   const hw::PowerMon& monitor,
-                                   util::Rng& rng) {
-  return paper_campaign(soc, monitor, util::RngStream(rng()));
 }
 
 std::vector<Sample> paper_campaign(const hw::Soc& soc,

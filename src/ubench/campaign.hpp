@@ -23,15 +23,8 @@ struct Sample {
 };
 
 /// Runs `points` x `settings` on `soc`, measuring each run with `monitor`.
-/// Legacy entry point: draws one value from `rng` to form the root stream,
-/// then forwards to the stream overload.
-std::vector<Sample> run_campaign(const hw::Soc& soc,
-                                 const std::vector<BenchPoint>& points,
-                                 const std::vector<hw::LabeledSetting>& settings,
-                                 const hw::PowerMon& monitor, util::Rng& rng);
-
-/// Stream-based campaign: cells are measured in parallel (OpenMP), each from
-/// its own RNG stream forked off `root` by (setting label, workload name).
+/// Cells are measured in parallel (OpenMP), each from its own RNG stream
+/// forked off `root` by (setting label, workload name).
 /// Sample values are bitwise-identical for every thread count and every
 /// iteration order of `points`/`settings`, because a cell's stream depends
 /// only on its identity. Trace spans/counters, when a session is installed,
@@ -45,11 +38,6 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
 
 /// Convenience: the paper's full campaign -- the default 116-point suite
 /// over the 16 Table I settings (1856 samples).
-std::vector<Sample> paper_campaign(const hw::Soc& soc,
-                                   const hw::PowerMon& monitor,
-                                   util::Rng& rng);
-
-/// Stream-based variant of the paper campaign.
 std::vector<Sample> paper_campaign(const hw::Soc& soc,
                                    const hw::PowerMon& monitor,
                                    const util::RngStream& root);

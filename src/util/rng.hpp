@@ -44,14 +44,10 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
     // SplitMix64 seeding, as recommended by the xoshiro authors.
-    auto splitmix = [&seed]() {
+    for (auto& s : state_) {
+      s = splitmix64(seed);
       seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return z ^ (z >> 31);
-    };
-    for (auto& s : state_) s = splitmix();
+    }
   }
 
   static constexpr result_type min() { return 0; }

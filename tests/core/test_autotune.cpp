@@ -13,8 +13,7 @@ namespace {
 EnergyModel fitted_model() {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
   std::vector<FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -25,25 +24,23 @@ EnergyModel fitted_model() {
 TEST(Autotune, GridMeasurementCoversAllSettings) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(1);
   hw::Workload w;
   w.name = "at_test";
   w.ops[hw::OpClass::kSpFlop] = 1e9;
   w.ops[hw::OpClass::kDramAccess] = 64e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(1));
   EXPECT_EQ(ms.size(), 105u);
 }
 
 TEST(Autotune, BestIndexIsTheMeasuredArgmin) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(2);
   hw::Workload w;
   w.name = "at_argmin";
   w.ops[hw::OpClass::kDramAccess] = 256e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(2));
   const TuneOutcome out = autotune(fitted_model(), ms);
   for (const auto& m : ms)
     EXPECT_GE(m.energy_j, ms[out.best_idx].energy_j);
@@ -56,13 +53,12 @@ TEST(Autotune, MemoryBoundWorkloadShouldNotRaceCoreClock) {
   // (which race-to-halts to the highest clocks).
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(3);
   hw::Workload w;
   w.name = "at_membound";
   w.ops[hw::OpClass::kDramAccess] = 512e6;
   w.ops[hw::OpClass::kIntOp] = 1e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(3));
   const TuneOutcome out = autotune(fitted_model(), ms);
 
   EXPECT_LT(ms[out.model_idx].setting.core.freq_mhz, 400);
@@ -72,13 +68,12 @@ TEST(Autotune, MemoryBoundWorkloadShouldNotRaceCoreClock) {
 TEST(Autotune, ComputeBoundWorkloadShouldNotRaceMemClock) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(4);
   hw::Workload w;
   w.name = "at_compbound";
   w.ops[hw::OpClass::kSpFlop] = 6e10;
   w.ops[hw::OpClass::kDramAccess] = 1e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(4));
   const TuneOutcome out = autotune(fitted_model(), ms);
   // The memory ladder's low rungs cost least here.
   EXPECT_LT(ms[out.model_idx].setting.mem.freq_mhz, 500);
@@ -87,12 +82,11 @@ TEST(Autotune, ComputeBoundWorkloadShouldNotRaceMemClock) {
 TEST(Autotune, LostPctZeroWhenChoiceIsBest) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(5);
   hw::Workload w;
   w.name = "at_zero";
   w.ops[hw::OpClass::kL2Access] = 4e8;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(5));
   const TuneOutcome out = autotune(fitted_model(), ms);
   if (out.model_correct) {
     EXPECT_LE(out.model_lost_pct, 0.5);

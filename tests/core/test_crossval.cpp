@@ -12,8 +12,7 @@ namespace {
 std::vector<FitSample> campaign_samples(hw::SettingRole* filter = nullptr) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
   std::vector<FitSample> out;
   for (const auto& s : campaign)
     if (!filter || s.role == *filter) out.push_back(to_fit_sample(s.meas));

@@ -58,8 +58,7 @@ TEST(Fit, RecoversPlantedConstantsFromNoiselessData) {
 TEST(Fit, AllCoefficientsNonNegative) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(1);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(1));
   std::vector<FitSample> samples;
   for (const auto& s : campaign) samples.push_back(to_fit_sample(s.meas));
   const FitResult r = fit_energy_model(samples);
@@ -73,8 +72,7 @@ TEST(Fit, AllCoefficientsNonNegative) {
 TEST(Fit, CampaignFitLandsNearTable1Costs) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
-  util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
   std::vector<FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)

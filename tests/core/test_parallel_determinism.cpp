@@ -214,20 +214,5 @@ TEST(ParallelDeterminism, MeasureGridInvariantUnderGridOrder) {
   }
 }
 
-TEST(ParallelDeterminism, LegacyRngEntryPointsStillReplayFromSeed) {
-  // The Rng& shims draw one root value and forward; two runs from the same
-  // seed must still agree exactly.
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon pm;
-  const auto points = small_suite();
-  const std::vector<hw::LabeledSetting> settings(
-      hw::table1_settings().begin(), hw::table1_settings().begin() + 2);
-  const auto run_once = [&] {
-    util::Rng rng(99);
-    return ub::run_campaign(soc, points, settings, pm, rng);
-  };
-  expect_samples_bit_equal(run_once(), run_once());
-}
-
 }  // namespace
 }  // namespace eroof

@@ -21,8 +21,8 @@ struct Fitted {
 const Fitted& fitted() {
   static const Fitted f = [] {
     Fitted out;
-    util::Rng rng(42);
-    const auto campaign = ub::paper_campaign(out.soc, out.pm, rng);
+    const auto campaign =
+        ub::paper_campaign(out.soc, out.pm, util::RngStream(42));
     std::vector<FitSample> train;
     for (const auto& s : campaign) {
       out.samples.push_back(to_fit_sample(s.meas));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 #include "util/require.hpp"
 
@@ -16,7 +15,7 @@ TEST(PowerMon, IntegratesConstantPowerExactly) {
   cfg.adc_bits = 24;  // negligible quantization
   const PowerMon pm(cfg);
   util::Rng rng(1);
-  const auto trace = pm.measure(2.0, [](double) { return 5.0; }, rng);
+  const auto trace = pm.measure_constant(2.0, 5.0, rng);
   EXPECT_NEAR(trace.energy_j, 10.0, 1e-3);
   EXPECT_NEAR(trace.avg_power_w, 5.0, 1e-4);
 }
@@ -26,42 +25,16 @@ TEST(PowerMon, SampleCountMatchesRate) {
   cfg.sample_hz = 100.0;
   const PowerMon pm(cfg);
   util::Rng rng(2);
-  const auto trace = pm.measure(1.0, [](double) { return 1.0; }, rng);
+  const auto trace = pm.measure_constant(1.0, 1.0, rng);
   EXPECT_NEAR(static_cast<double>(trace.samples_w.size()), 101.0, 2.0);
 }
 
 TEST(PowerMon, ShortRunStillGetsTwoSamples) {
   const PowerMon pm;
   util::Rng rng(3);
-  const auto trace = pm.measure(1e-5, [](double) { return 3.0; }, rng);
+  const auto trace = pm.measure_constant(1e-5, 3.0, rng);
   EXPECT_GE(trace.samples_w.size(), 2u);
   EXPECT_NEAR(trace.energy_j, 3.0 * 1e-5, 0.2 * 3.0 * 1e-5);
-}
-
-TEST(PowerMon, RampIntegratesToAverage) {
-  PowerMonConfig cfg;
-  cfg.noise_w = 0.0;
-  cfg.adc_bits = 24;
-  const PowerMon pm(cfg);
-  util::Rng rng(4);
-  // P(t) = 10 t over [0, 1] integrates to 5 J.
-  const auto trace = pm.measure(1.0, [](double t) { return 10.0 * t; }, rng);
-  EXPECT_NEAR(trace.energy_j, 5.0, 1e-3);
-}
-
-TEST(PowerMon, SinusoidAveragesOut) {
-  PowerMonConfig cfg;
-  cfg.noise_w = 0.0;
-  cfg.adc_bits = 24;
-  const PowerMon pm(cfg);
-  util::Rng rng(5);
-  const auto trace = pm.measure(
-      1.0,
-      [](double t) {
-        return 6.0 + std::sin(2.0 * std::numbers::pi * 16.0 * t);
-      },
-      rng);
-  EXPECT_NEAR(trace.energy_j, 6.0, 0.02);
 }
 
 TEST(PowerMon, NoiseAveragesAcrossManySamples) {
@@ -69,7 +42,7 @@ TEST(PowerMon, NoiseAveragesAcrossManySamples) {
   cfg.noise_w = 0.5;  // large per-sample noise
   const PowerMon pm(cfg);
   util::Rng rng(6);
-  const auto trace = pm.measure(4.0, [](double) { return 8.0; }, rng);
+  const auto trace = pm.measure_constant(4.0, 8.0, rng);
   // ~4096 samples: the mean is tight even with 0.5 W noise.
   EXPECT_NEAR(trace.avg_power_w, 8.0, 0.1);
 }
@@ -80,7 +53,7 @@ TEST(PowerMon, QuantizationClampsToFullScale) {
   cfg.noise_w = 0.0;
   const PowerMon pm(cfg);
   util::Rng rng(7);
-  const auto trace = pm.measure(0.1, [](double) { return 50.0; }, rng);
+  const auto trace = pm.measure_constant(0.1, 50.0, rng);
   for (double s : trace.samples_w) EXPECT_LE(s, 10.0);
 }
 
@@ -89,7 +62,7 @@ TEST(PowerMon, NegativePowerClampsToZero) {
   cfg.noise_w = 0.0;
   const PowerMon pm(cfg);
   util::Rng rng(8);
-  const auto trace = pm.measure(0.1, [](double) { return -2.0; }, rng);
+  const auto trace = pm.measure_constant(0.1, -2.0, rng);
   for (double s : trace.samples_w) EXPECT_GE(s, 0.0);
 }
 
@@ -97,8 +70,8 @@ TEST(PowerMon, DeterministicGivenSameRngSeed) {
   const PowerMon pm;
   util::Rng rng_a(9);
   util::Rng rng_b(9);
-  const auto a = pm.measure(0.5, [](double) { return 7.0; }, rng_a);
-  const auto b = pm.measure(0.5, [](double) { return 7.0; }, rng_b);
+  const auto a = pm.measure_constant(0.5, 7.0, rng_a);
+  const auto b = pm.measure_constant(0.5, 7.0, rng_b);
   EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
 }
 
@@ -114,8 +87,6 @@ TEST(PowerMon, InvalidConfigThrows) {
 TEST(PowerMon, NegativeDurationRejected) {
   const PowerMon pm;
   util::Rng rng(10);
-  EXPECT_THROW(pm.measure(-1e-6, [](double) { return 1.0; }, rng),
-               util::ContractError);
   EXPECT_THROW(pm.measure_constant(-1e-6, 1.0, rng), util::ContractError);
 }
 
@@ -127,16 +98,11 @@ TEST(PowerMon, ZeroDurationProbeIsFiniteAndSampled) {
   cfg.noise_w = 0.0;
   const PowerMon pm(cfg);
   util::Rng rng(10);
-  for (const bool constant_path : {false, true}) {
-    const auto trace =
-        constant_path
-            ? pm.measure_constant(0.0, 5.0, rng)
-            : pm.measure(0.0, [](double) { return 5.0; }, rng);
-    EXPECT_EQ(trace.samples_w.size(), 2u);
-    EXPECT_EQ(trace.energy_j, 0.0);
-    EXPECT_TRUE(std::isfinite(trace.avg_power_w));
-    EXPECT_EQ(trace.avg_power_w, 5.0);
-  }
+  const auto trace = pm.measure_constant(0.0, 5.0, rng);
+  EXPECT_EQ(trace.samples_w.size(), 2u);
+  EXPECT_EQ(trace.energy_j, 0.0);
+  EXPECT_TRUE(std::isfinite(trace.avg_power_w));
+  EXPECT_EQ(trace.avg_power_w, 5.0);
 }
 
 TEST(PowerMon, TwoPointTrapezoidExactForSubSamplePeriodRuns) {
@@ -151,17 +117,12 @@ TEST(PowerMon, TwoPointTrapezoidExactForSubSamplePeriodRuns) {
   const PowerMon pm(cfg);
   util::Rng rng(11);
   const double duration = 200e-6;  // well under the 976 us sample period
-  for (const bool constant_path : {false, true}) {
-    const auto trace =
-        constant_path
-            ? pm.measure_constant(duration, 5.0, rng)
-            : pm.measure(duration, [](double) { return 5.0; }, rng);
-    ASSERT_EQ(trace.samples_w.size(), 2u);
-    EXPECT_EQ(trace.samples_w[0], 5.0);
-    EXPECT_EQ(trace.samples_w[1], 5.0);
-    EXPECT_EQ(trace.energy_j, 0.5 * (5.0 + 5.0) * duration);
-    EXPECT_EQ(trace.avg_power_w, trace.energy_j / duration);
-  }
+  const auto trace = pm.measure_constant(duration, 5.0, rng);
+  ASSERT_EQ(trace.samples_w.size(), 2u);
+  EXPECT_EQ(trace.samples_w[0], 5.0);
+  EXPECT_EQ(trace.samples_w[1], 5.0);
+  EXPECT_EQ(trace.energy_j, 0.5 * (5.0 + 5.0) * duration);
+  EXPECT_EQ(trace.avg_power_w, trace.energy_j / duration);
 }
 
 }  // namespace

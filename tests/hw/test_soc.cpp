@@ -132,10 +132,9 @@ TEST(Soc, UtilizationOutOfRangeThrows) {
 TEST(Soc, MeasuredEnergyTracksTrueEnergy) {
   const Soc soc = Soc::tegra_k1();
   const PowerMon pm;
-  util::Rng rng(1);
   const Workload w = compute_workload(5e9);
   const auto s = setting(852, 924);
-  const Measurement m = soc.run(w, s, pm, rng);
+  const Measurement m = soc.run(w, s, pm, util::RngStream(1));
   const double e_true = soc.true_energy_j(w, s, m.time_s);
   EXPECT_NEAR(m.energy_j, e_true, 0.08 * e_true);
 }
@@ -143,9 +142,8 @@ TEST(Soc, MeasuredEnergyTracksTrueEnergy) {
 TEST(Soc, MeasurementCarriesWorkloadIdentity) {
   const Soc soc = Soc::tegra_k1();
   const PowerMon pm;
-  util::Rng rng(2);
   const Workload w = memory_workload();
-  const Measurement m = soc.run(w, setting(540, 528), pm, rng);
+  const Measurement m = soc.run(w, setting(540, 528), pm, util::RngStream(2));
   EXPECT_EQ(m.workload, "test_memory");
   EXPECT_EQ(m.setting.core.freq_mhz, 540);
   EXPECT_EQ(m.ops[OpClass::kDramAccess], w.ops[OpClass::kDramAccess]);

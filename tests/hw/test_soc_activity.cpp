@@ -60,11 +60,11 @@ TEST(SocActivity, ActivityDeviationIsBounded) {
 TEST(SocActivity, MeasuredRunsVaryButTightly) {
   const Soc soc = Soc::tegra_k1();
   const PowerMon pm;
-  util::Rng rng(5);
+  const util::RngStream root(5);
   const Workload w = named("noisy_kernel");
   const auto s = setting(540, 528);
-  const auto m1 = soc.run(w, s, pm, rng);
-  const auto m2 = soc.run(w, s, pm, rng);
+  const auto m1 = soc.run(w, s, pm, root.fork(1));
+  const auto m2 = soc.run(w, s, pm, root.fork(2));
   EXPECT_NE(m1.energy_j, m2.energy_j);  // real noise
   EXPECT_NEAR(m1.energy_j, m2.energy_j, 0.1 * m1.energy_j);  // but small
 }

@@ -26,8 +26,7 @@ struct Pipeline {
   std::vector<model::FitSample> val;
 
   Pipeline() {
-    util::Rng rng(42);
-    const auto campaign = ub::paper_campaign(soc, pm, rng);
+    const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
     for (const auto& s : campaign) {
       const auto fs = model::to_fit_sample(s.meas);
       (s.role == hw::SettingRole::kTrain ? train : val).push_back(fs);
@@ -72,14 +71,15 @@ TEST(Pipeline, FmmEnergyPredictedWithinPaperBand) {
   const auto& p = pipeline();
   const auto run = profile_fmm(16384, 64);
 
-  util::Rng rng(11);
+  const util::RngStream root(11);
   std::vector<double> errors;
   for (const auto& setting : hw::table4_settings()) {
     double t_total = 0;
     double e_meas = 0;
     hw::OpCounts ops;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, setting, p.pm, rng);
+      const auto m = p.soc.run(ph.workload, setting, p.pm,
+                               root.fork(setting.label()).fork(ph.name));
       t_total += m.time_s;
       e_meas += m.energy_j;
       ops += ph.workload.ops;
@@ -136,7 +136,7 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
   const auto& p = pipeline();
   const auto run = profile_fmm(16384, 64);
 
-  util::Rng rng(13);
+  const util::RngStream root(13);
   const auto grid = hw::full_grid();
   double best_e = 1e300;
   double best_t = 1e300;
@@ -146,7 +146,8 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
     double t = 0;
     double e = 0;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, grid[i], p.pm, rng);
+      const auto m = p.soc.run(ph.workload, grid[i], p.pm,
+                               root.fork(grid[i].label()).fork(ph.name));
       t += m.time_s;
       e += m.energy_j;
     }
@@ -163,10 +164,11 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
   // requiring the energy-best setting to be within 2% energy of running at
   // the time-best setting.
   double e_at_tbest = 0;
-  util::Rng rng2(14);
+  const auto& t_best = grid[best_t_idx];
+  const util::RngStream root2 = util::RngStream(14).fork(t_best.label());
   for (const auto& ph : run.profile.phases)
     e_at_tbest +=
-        p.soc.run(ph.workload, grid[best_t_idx], p.pm, rng2).energy_j;
+        p.soc.run(ph.workload, t_best, p.pm, root2.fork(ph.name)).energy_j;
   EXPECT_LT(e_at_tbest, 1.05 * best_e)
       << "time-best " << grid[best_t_idx].label() << " vs energy-best "
       << grid[best_e_idx].label();

@@ -37,3 +37,5 @@ double fixture_omp_sum(const double* x, int n) {
   { s += 1.0; }
   return s;
 }
+
+unsigned long fixture_hash_seed() { return std::hash<int>{}(7); }

@@ -41,6 +41,7 @@ TEST(LintRules, FlagsEverySeededDeterminismViolation) {
       {12, "nondet-rand"},          {15, "nondet-rand"},
       {20, "nondet-rand"},          {28, "nondet-unordered-iter"},
       {34, "nondet-omp"},           {36, "nondet-omp"},
+      {41, "nondet-rand"},
   };
   EXPECT_EQ(violations(rep), expected);
 }

@@ -116,7 +116,6 @@ TEST(Determinism, CampaignAndPowerMonCountersReplayFromSeed) {
   const auto run_once = [] {
     const auto soc = hw::Soc::tegra_k1();
     const hw::PowerMon pm;
-    util::Rng rng(7);
     auto points = ub::intensity_sweep(ub::BenchClass::kSpFlops, 8e6);
     if (points.size() > 4) points.resize(4);
     const std::vector<hw::LabeledSetting> settings(
@@ -125,7 +124,7 @@ TEST(Determinism, CampaignAndPowerMonCountersReplayFromSeed) {
     trace::TraceSession session;
     {
       trace::SessionGuard guard(session);
-      (void)ub::run_campaign(soc, points, settings, pm, rng);
+      (void)ub::run_campaign(soc, points, settings, pm, util::RngStream(7));
     }
     return session.counter_totals();
   };

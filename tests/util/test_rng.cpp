@@ -86,5 +86,25 @@ TEST(Rng, NormalScaleAndShift) {
   EXPECT_NEAR(mean / n, 5.0, 0.05);
 }
 
+// Golden values: the generator, the stream splitter and the string hash
+// promise identical output on every platform and standard library, so the
+// exact bits are part of the contract.
+TEST(Rng, GoldenOutputsForSeed42) {
+  Rng r(42);
+  EXPECT_EQ(r(), 1546998764402558742ULL);
+  EXPECT_EQ(r(), 6990951692964543102ULL);
+  EXPECT_EQ(r(), 12544586762248559009ULL);
+}
+
+TEST(RngStream, GoldenForkedSeed) {
+  EXPECT_EQ(RngStream(42).fork("a").fork(3).seed(), 5740315671002401743ULL);
+}
+
+TEST(Fnv1a64, GoldenHashes) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
 }  // namespace
 }  // namespace eroof::util

@@ -245,7 +245,8 @@ struct RuleDoc {
 
 const RuleDoc kRules[] = {
     {"nondet-rand",
-     "Unseeded/wall-clock entropy source outside util::Rng / util::RngStream"},
+     "Unseeded/wall-clock entropy source or unspecified std::hash seed "
+     "outside util::Rng / util::RngStream / util::fnv1a64"},
     {"nondet-unordered-iter",
      "Iteration over a std::unordered container (hash-order dependent)"},
     {"nondet-omp",
@@ -288,7 +289,9 @@ struct BannedCall {
 };
 
 // Determinism: seeded util::Rng / util::RngStream are the only sanctioned
-// entropy sources; wall-clock reads belong to src/trace/ alone.
+// entropy sources; wall-clock reads belong to src/trace/ alone. std::hash
+// values are implementation-defined, so seeds derived from them differ
+// across standard libraries; util::fnv1a64 is the specified replacement.
 const BannedCall kNondetCalls[] = {
     {"std::rand", false, "std::rand() (unseeded C RNG)"},
     {"rand", true, "rand() (unseeded C RNG)"},
@@ -298,6 +301,8 @@ const BannedCall kNondetCalls[] = {
     {"high_resolution_clock", false,
      "std::chrono::high_resolution_clock (unspecified, possibly non-steady "
      "clock)"},
+    {"std::hash", false,
+     "std::hash (implementation-defined value; key seeds with util::fnv1a64)"},
 };
 
 struct HotAlloc {
