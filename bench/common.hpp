@@ -1,14 +1,10 @@
 // Shared plumbing for the table/figure reproduction benches: the calibrated
 // platform, the fitted model (from the paper's microbenchmark campaign), and
 // the Table IV FMM inputs F1..F8 with their GPU execution profiles -- plus
-// the --bench-json trajectory-harness helpers (order statistics, JSON
-// emission, flag parsing, the standard thread sweep) every perf_* binary
-// shares instead of redeclaring.
+// the order statistics, JSON emission and flag parsing of perf_fmm's
+// trajectory mode, the one bench JSON writer here (end-to-end numbers live in
+// perfbench/).
 #pragma once
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <algorithm>
 #include <cstring>
@@ -106,7 +102,7 @@ inline FmmRunResult run_fmm_profile(const Platform& p,
 }
 
 // ---------------------------------------------------------------------------
-// --bench-json trajectory-harness helpers
+// perf_fmm trajectory-mode helpers
 // ---------------------------------------------------------------------------
 
 /// Order statistics of one timing series (times in milliseconds).
@@ -140,19 +136,6 @@ inline bool flag_value(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, name, len) != 0) return false;
   if (arg[len] == '=') *value = arg + len + 1;
   return arg[len] == '=' || arg[len] == '\0';
-}
-
-/// The standard OpenMP sweep of the trajectory harnesses: {1, 2, 4} plus
-/// the machine maximum when it exceeds 4 (dedup'd when it doesn't). Without
-/// OpenMP, just {1}.
-inline std::vector<int> sweep_thread_counts() {
-  std::vector<int> counts{1};
-#ifdef _OPENMP
-  counts.push_back(2);
-  counts.push_back(4);
-  if (omp_get_max_threads() > 4) counts.push_back(omp_get_max_threads());
-#endif
-  return counts;
 }
 
 }  // namespace eroof::bench

@@ -1,28 +1,8 @@
 // Performance of the per-phase DVFS scheduler (core/schedule): the
 // per-(phase, setting) prediction grid, the chain DP, and the Pareto sweep,
 // over a real KIFMM profile and the 105-setting grid.
-//
-// Two modes:
-//   * default: the google-benchmark suite below.
-//   * --bench-json[=path]: a trajectory harness that times each scheduler
-//     stage at several OpenMP thread counts, reduces to median/p10/p90,
-//     checks the prediction grid / schedule picks / Pareto frontier are
-//     bitwise identical to the 1-thread run, and writes one JSON file
-//     (default BENCH_schedule.json). CI runs this per commit; nonzero exit
-//     if any thread count diverges.
 #include <benchmark/benchmark.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -31,10 +11,6 @@
 namespace {
 
 using namespace eroof;
-using bench::flag_value;
-using bench::Summary;
-using bench::summarize;
-using bench::write_summary;
 
 constexpr double kWeights[] = {0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
 
@@ -45,19 +21,16 @@ struct Setup {
   hw::DvfsTransitionModel transitions{100e-6, 50e-6};
 };
 
-Setup make_setup(std::size_t n, std::uint32_t q) {
+/// The KIFMM chain at n=16384, q=64 and the 105-setting grid.
+Setup make_setup() {
   Setup s{bench::make_platform(), {}, hw::full_grid()};
-  const auto prof = bench::profile_fmm_input({"bench", n, q});
+  const auto prof = bench::profile_fmm_input({"bench", 16384, 64});
   for (const auto& ph : prof.phases) s.phases.push_back(ph.workload);
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark suite
-// ---------------------------------------------------------------------------
-
 void BM_PredictPhaseGrid(benchmark::State& state) {
-  const Setup s = make_setup(16384, 64);
+  const Setup s = make_setup();
   for (auto _ : state) {
     auto pred = model::predict_phase_grid(s.platform.model, s.platform.soc,
                                           s.phases, s.grid);
@@ -67,7 +40,7 @@ void BM_PredictPhaseGrid(benchmark::State& state) {
 BENCHMARK(BM_PredictPhaseGrid)->Unit(benchmark::kMicrosecond);
 
 void BM_ScheduleChainDp(benchmark::State& state) {
-  const Setup s = make_setup(16384, 64);
+  const Setup s = make_setup();
   const auto pred = model::predict_phase_grid(s.platform.model, s.platform.soc,
                                               s.phases, s.grid);
   for (auto _ : state) {
@@ -78,7 +51,7 @@ void BM_ScheduleChainDp(benchmark::State& state) {
 BENCHMARK(BM_ScheduleChainDp)->Unit(benchmark::kMicrosecond);
 
 void BM_ParetoFrontier(benchmark::State& state) {
-  const Setup s = make_setup(16384, 64);
+  const Setup s = make_setup();
   const auto pred = model::predict_phase_grid(s.platform.model, s.platform.soc,
                                               s.phases, s.grid);
   for (auto _ : state) {
@@ -88,184 +61,6 @@ void BM_ParetoFrontier(benchmark::State& state) {
 }
 BENCHMARK(BM_ParetoFrontier)->Unit(benchmark::kMicrosecond);
 
-// ---------------------------------------------------------------------------
-// --bench-json trajectory harness
-// ---------------------------------------------------------------------------
-
-constexpr const char* kStages[] = {"predict", "dp", "pareto"};
-
-struct Run {
-  int threads = 0;
-  bool bitwise_identical = true;
-  std::vector<std::vector<double>> stage_ms{std::size(kStages)};
-  std::vector<double> total_ms;
-};
-
-/// The values whose bitwise stability across thread counts is asserted.
-struct Outputs {
-  std::vector<double> pred_values;
-  std::vector<std::size_t> picks;
-  std::vector<double> pareto_values;
-};
-
-bool bit_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool bit_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bit_equal(a[i], b[i])) return false;
-  return true;
-}
-
-bool same_outputs(const Outputs& a, const Outputs& b) {
-  return bit_equal(a.pred_values, b.pred_values) && a.picks == b.picks &&
-         bit_equal(a.pareto_values, b.pareto_values);
-}
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Outputs run_scheduler(const Setup& s, Run& run) {
-  Outputs out;
-  std::array<double, std::size(kStages)> ms{};
-
-  double t0 = now_ms();
-  const auto pred = model::predict_phase_grid(s.platform.model, s.platform.soc,
-                                              s.phases, s.grid);
-  ms[0] = now_ms() - t0;
-  out.pred_values = pred.time_s;
-  out.pred_values.insert(out.pred_values.end(), pred.energy_j.begin(),
-                         pred.energy_j.end());
-
-  t0 = now_ms();
-  const auto sched = model::schedule_phases(pred, s.transitions);
-  const auto uniform = model::best_uniform_schedule(pred);
-  ms[1] = now_ms() - t0;
-  out.picks = sched.pick;
-  out.picks.insert(out.picks.end(), uniform.pick.begin(), uniform.pick.end());
-
-  t0 = now_ms();
-  const auto frontier = model::pareto_frontier(pred, s.transitions, kWeights);
-  ms[2] = now_ms() - t0;
-  for (const auto& pt : frontier) {
-    out.pareto_values.push_back(pt.schedule.pred_time_s);
-    out.pareto_values.push_back(pt.schedule.pred_energy_j);
-    out.picks.insert(out.picks.end(), pt.schedule.pick.begin(),
-                     pt.schedule.pick.end());
-  }
-
-  double total = 0;
-  for (std::size_t i = 0; i < std::size(kStages); ++i) {
-    run.stage_ms[i].push_back(ms[i]);
-    total += ms[i];
-  }
-  run.total_ms.push_back(total);
-  return out;
-}
-
-int run_bench_json(const std::string& path, int reps, std::size_t n,
-                   std::uint32_t q) {
-  const Setup setup = make_setup(n, q);
-
-  const std::vector<int> thread_counts = bench::sweep_thread_counts();
-
-  std::vector<Run> runs;
-  Outputs reference;
-  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-#ifdef _OPENMP
-    omp_set_num_threads(thread_counts[t]);
-#endif
-    Run run;
-    run.threads = thread_counts[t];
-    std::fprintf(stderr, "bench-json: threads=%d reps=%d\n", run.threads, reps);
-    for (int r = 0; r < reps; ++r) {
-      const Outputs out = run_scheduler(setup, run);
-      if (t == 0 && r == 0)
-        reference = out;
-      else if (!same_outputs(reference, out))
-        run.bitwise_identical = false;
-    }
-    runs.push_back(std::move(run));
-  }
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench-json: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
-  out << "{\n";
-  out << "  \"bench\": \"phase_schedule\",\n";
-  out << "  \"n_points\": " << n << ",\n";
-  out << "  \"max_points_per_box\": " << q << ",\n";
-  out << "  \"phases\": " << setup.phases.size() << ",\n";
-  out << "  \"grid_settings\": " << setup.grid.size() << ",\n";
-  out << "  \"pareto_weights\": " << std::size(kWeights) << ",\n";
-  out << "  \"reps\": " << reps << ",\n";
-  out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-      << ",\n";
-  out << "  \"runs\": [\n";
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const Run& run = runs[r];
-    out << "    {\n      \"threads\": " << run.threads
-        << ",\n      \"bitwise_identical_vs_serial\": "
-        << (run.bitwise_identical ? "true" : "false")
-        << ",\n      \"total\": ";
-    write_summary(out, summarize(run.total_ms));
-    out << ",\n      \"stages\": {\n";
-    for (std::size_t s = 0; s < std::size(kStages); ++s) {
-      out << "        \"" << kStages[s] << "\": ";
-      write_summary(out, summarize(run.stage_ms[s]));
-      out << (s + 1 < std::size(kStages) ? ",\n" : "\n");
-    }
-    out << "      }\n    }" << (r + 1 < runs.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "bench-json: wrote %s\n", path.c_str());
-
-  for (const Run& run : runs)
-    if (!run.bitwise_identical) {
-      std::fprintf(stderr,
-                   "bench-json: scheduler outputs at %d threads differ from "
-                   "the serial run\n",
-                   run.threads);
-      return 1;
-    }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_mode = false;
-  int reps = 7;
-  std::size_t n = 8192;
-  std::uint32_t q = 64;
-  std::string v;
-  for (int i = 1; i < argc; ++i) {
-    if (flag_value(argv[i], "--bench-json", &v)) {
-      json_mode = true;
-      json_path = v.empty() ? "BENCH_schedule.json" : v;
-    } else if (flag_value(argv[i], "--bench-reps", &v)) {
-      reps = std::stoi(v);
-    } else if (flag_value(argv[i], "--bench-n", &v)) {
-      n = std::stoul(v);
-    } else if (flag_value(argv[i], "--bench-q", &v)) {
-      q = static_cast<std::uint32_t>(std::stoul(v));
-    }
-    v.clear();
-  }
-  if (json_mode) return run_bench_json(json_path, reps, n, q);
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

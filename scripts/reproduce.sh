@@ -65,17 +65,8 @@ echo "== fmm_refresh =="
 mv -f fig*.csv ablation_q_sweep.csv ext_energy_roofline.csv reproduction/ \
   2>/dev/null || true
 
-# Machine-readable perf baselines: the committed bench/results/*.json
-# references plus fresh perf_pipeline and serving runs on this machine.
+# The committed perf_fmm trajectory references; end-to-end numbers come
+# from perfbench/ (python3 perfbench/run.py).
 cp -f bench/results/*.json reproduction/ 2>/dev/null || true
-./build/bench/perf_pipeline --bench-json=reproduction/BENCH_pipeline.local.json \
-  --bench-reps=5 || true
-./build/bench/perf_serve --bench-json=reproduction/BENCH_serve.local.json \
-  --bench-requests=24 || true
-./build/bench/perf_dynamics \
-  --bench-json=reproduction/BENCH_dynamics.local.json --bench-steps=8 || true
-./build/bench/perf_refresh \
-  --bench-json=reproduction/BENCH_refresh.local.json --bench-steps=32 \
-  --bench-n=4096 || true
 
 echo "All outputs collected under ./reproduction/"

@@ -232,11 +232,13 @@ TEST(Schedule, BitwiseIdenticalAcrossThreadCounts) {
   struct Out {
     PhaseGridPrediction pred;
     PhaseSchedule sched;
+    PhaseSchedule uniform;
     std::vector<ParetoPoint> frontier;
   };
   const auto run = [&] {
-    Out o{predict_phase_grid(m, soc, phases, grid), {}, {}};
+    Out o{predict_phase_grid(m, soc, phases, grid), {}, {}, {}};
     o.sched = schedule_phases(o.pred, tm);
+    o.uniform = best_uniform_schedule(o.pred);
     o.frontier = pareto_frontier(o.pred, tm, weights);
     return o;
   };
@@ -251,12 +253,15 @@ TEST(Schedule, BitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.sched.pick, parallel.sched.pick);
   EXPECT_TRUE(bit_equal(serial.sched.pred_energy_j,
                         parallel.sched.pred_energy_j));
+  EXPECT_EQ(serial.uniform.pick, parallel.uniform.pick);
   ASSERT_EQ(serial.frontier.size(), parallel.frontier.size());
   for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
     EXPECT_EQ(serial.frontier[i].schedule.pick,
               parallel.frontier[i].schedule.pick);
     EXPECT_TRUE(bit_equal(serial.frontier[i].schedule.pred_time_s,
                           parallel.frontier[i].schedule.pred_time_s));
+    EXPECT_TRUE(bit_equal(serial.frontier[i].schedule.pred_energy_j,
+                          parallel.frontier[i].schedule.pred_energy_j));
   }
 }
 
