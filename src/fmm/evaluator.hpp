@@ -17,19 +17,26 @@
 // coordinate arrays; surface points come from per-level templates
 // (center + offset); and every phase loop runs allocation-free against
 // per-thread Workspace scratch, with kernel evaluation batched through
-// Kernel::eval_batch (one virtual call per tile, simd inner loops).
+// Kernel::eval_batch (one virtual call per tile, simd inner loops). The U
+// phase is mutual: each unordered pair of adjacent leaves is evaluated once
+// through Kernel::eval_mutual and scattered into both leaves, and each
+// leaf's self block once as its upper triangle (DESIGN.md section 7).
 //
 // Execution model (DESIGN.md section 11): six bulk-synchronous sweeps in
 // the paper's phase order, one OpenMP loop over the nodes of a level or
-// the leaves per step, with a barrier between steps. Phases never overlap,
-// so each phase span is that phase's wall time and a per-phase DVFS
-// setting applies to exactly one phase's work. Every output element
-// receives the same floating-point operation sequence at any thread count,
-// so results, stats() and trace counter totals are thread-count invariant.
+// the leaves per step, with a barrier between steps; U runs its self
+// blocks, then one loop per color class of a structure-only pair schedule
+// (each class a matching, so no two of its blocks share a leaf). Phases
+// never overlap, so each phase span is that phase's wall time and a
+// per-phase DVFS setting applies to exactly one phase's work. Every output
+// element receives the same floating-point operation sequence at any thread
+// count, so results, stats() and trace counter totals are thread-count
+// invariant.
 #pragma once
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fmm/kernel.hpp"
@@ -96,12 +103,13 @@ class FmmEvaluator {
                      std::span<double> out);
 
   /// Re-bins moved positions into the existing tree via Octree::try_refit.
-  /// On success (structure unchanged) the interaction lists, node slots,
-  /// arenas and spectra banks -- all purely structural -- are kept as-is; only the SoA coordinate mirror and the occupancy-dependent
-  /// structural stats are refreshed, and subsequent evaluations are bitwise
-  /// identical to a fresh evaluator built from `new_points`. On false the
-  /// evaluator is unchanged (caller rebuilds). Allocation-free after the
-  /// tree's first refit.
+  /// On success (structure unchanged) the interaction lists, U pair
+  /// schedule, node slots, arenas and spectra banks -- all purely
+  /// structural -- are kept as-is; only the SoA coordinate mirror and the
+  /// occupancy-dependent structural stats are refreshed, and subsequent
+  /// evaluations are bitwise identical to a fresh evaluator built from
+  /// `new_points`. On false the evaluator is unchanged (caller rebuilds).
+  /// Allocation-free after the tree's first refit.
   bool try_refit(std::span<const Vec3> new_points);
 
   const Octree& tree() const { return tree_; }
@@ -114,7 +122,9 @@ class FmmEvaluator {
   /// structural (tree + lists + operators), so they are computed once at
   /// construction by one serial pass in canonical phase order -- the
   /// explicit commit order that keeps stats() bitwise identical across
-  /// thread counts -- and committed wholesale per evaluate().
+  /// thread counts -- and committed wholesale per evaluate(). U counts
+  /// directed evaluations (the paper's one-way kernel, which the GPU
+  /// profile models), about twice the pairs the mutual sweep evaluates.
   const FmmStats& stats() const { return stats_; }
 
   /// One-shot evaluation with *distinct* target and source sets (the
@@ -150,7 +160,7 @@ class FmmEvaluator {
   void node_x(int b, const double* dens);
   void node_down(int b);
   void leaf_l2p(int b, double* phi);
-  void leaf_u(int b, const double* dens, double* phi);
+  void u_block(int b, int a, const double* dens, double* phi);
   void leaf_w(int b, double* phi);
 
   // -- the phase sweeps ---------------------------------------------------
@@ -164,6 +174,7 @@ class FmmEvaluator {
   void w_pass(std::span<double> phi);
 
   void init();  ///< common construction tail of all constructors
+  void build_u_schedule();
 
   /// The canonical serial tally pass (see stats()).
   FmmStats compute_structural_stats() const;
@@ -221,6 +232,14 @@ class FmmEvaluator {
   // -1 for nodes without one.
   std::vector<int> slot_;
   std::vector<double> up_equiv_, down_check_, down_equiv_;
+
+  // The U phase's pair schedule: every unordered pair {b, a} (b < a) of
+  // distinct U-list leaves, greedily edge-colored in (b, a) order into
+  // matchings and stored by color as CSR (pairs of color c occupy
+  // [u_color_begin_[c], u_color_begin_[c + 1])). Structure only, so refits
+  // keep it.
+  std::vector<std::pair<int, int>> u_pairs_;
+  std::vector<std::size_t> u_color_begin_;
 
   // Nodes with non-empty X lists (most have none; the X phase iterates
   // only these).

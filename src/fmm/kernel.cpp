@@ -8,7 +8,55 @@ namespace {
 
 constexpr double kFourPiInv = 1.0 / (4.0 * std::numbers::pi);
 
+/// The mutual block loops of the bundled kernels (see Kernel::eval_mutual).
+/// `value(r2)` is K at squared distance r2; `diag` is K(x, x), added once
+/// per point of a self block unless it is zero.
+template <typename Value>
+void mutual_loops(const PointBlock& a, const double* density_a, double* out_a,
+                  const PointBlock& b, const double* density_b, double* out_b,
+                  double diag, Value value) {
+  const bool self = a.x == b.x;
+  const double* bx = b.x;
+  const double* by = b.y;
+  const double* bz = b.z;
+  for (std::size_t i = 0; i < a.n; ++i) {
+    const double ax = a.x[i];
+    const double ay = a.y[i];
+    const double az = a.z[i];
+    const double da = density_a[i];
+    double acc = self && diag != 0.0 ? diag * da : 0.0;
+    // eroof-lint: allow(nondet-omp) simd-only reduction, fixed lane order;
+    // the out_b stores never touch out_a[i] (j > i on a self block).
+#pragma omp simd reduction(+ : acc)
+    for (std::size_t j = self ? i + 1 : 0; j < b.n; ++j) {
+      const double dx = ax - bx[j];
+      const double dy = ay - by[j];
+      const double dz = az - bz[j];
+      const double k = value(dx * dx + dy * dy + dz * dz);
+      acc += k * density_b[j];
+      out_b[j] += k * da;
+    }
+    out_a[i] += acc;
+  }
+}
+
 }  // namespace
+
+void Kernel::eval_mutual(const PointBlock& a, const double* density_a,
+                         double* out_a, const PointBlock& b,
+                         const double* density_b, double* out_b) const {
+  const bool self = a.x == b.x;
+  for (std::size_t i = 0; i < a.n; ++i) {
+    const Vec3 s{a.x[i], a.y[i], a.z[i]};
+    double acc = self ? eval(s, s) * density_a[i] : 0.0;
+    for (std::size_t j = self ? i + 1 : 0; j < b.n; ++j) {
+      const double k = eval(s, {b.x[j], b.y[j], b.z[j]});
+      acc += k * density_b[j];
+      out_b[j] += k * density_a[i];
+    }
+    out_a[i] += acc;
+  }
+}
 
 void Kernel::eval_batch(const PointBlock& targets, const PointBlock& sources,
                         const double* density, double* out) const {
@@ -56,6 +104,17 @@ void LaplaceKernel::eval_batch(const PointBlock& targets,
   // eroof: hot-end
 }
 
+void LaplaceKernel::eval_mutual(const PointBlock& a, const double* density_a,
+                                double* out_a, const PointBlock& b,
+                                const double* density_b, double* out_b) const {
+  // eroof: hot-begin (Laplace mutual near-field P2P)
+  mutual_loops(a, density_a, out_a, b, density_b, out_b, 0.0, [](double r2) {
+    const double k = kFourPiInv / std::sqrt(r2);
+    return r2 == 0.0 ? 0.0 : k;
+  });
+  // eroof: hot-end
+}
+
 void YukawaKernel::eval_batch(const PointBlock& targets,
                               const PointBlock& sources, const double* density,
                               double* out) const {
@@ -89,6 +148,20 @@ void YukawaKernel::eval_batch(const PointBlock& targets,
   // eroof: hot-end
 }
 
+void YukawaKernel::eval_mutual(const PointBlock& a, const double* density_a,
+                               double* out_a, const PointBlock& b,
+                               const double* density_b, double* out_b) const {
+  const double lambda = lambda_;
+  // eroof: hot-begin (Yukawa mutual near-field P2P)
+  mutual_loops(a, density_a, out_a, b, density_b, out_b, 0.0,
+               [lambda](double r2) {
+                 const double r = std::sqrt(r2);
+                 const double k = kFourPiInv * std::exp(-lambda * r) / r;
+                 return r2 == 0.0 ? 0.0 : k;
+               });
+  // eroof: hot-end
+}
+
 void GaussianKernel::eval_batch(const PointBlock& targets,
                                 const PointBlock& sources,
                                 const double* density, double* out) const {
@@ -115,6 +188,17 @@ void GaussianKernel::eval_batch(const PointBlock& targets,
     }
     out[i] += acc;
   }
+  // eroof: hot-end
+}
+
+void GaussianKernel::eval_mutual(const PointBlock& a, const double* density_a,
+                                 double* out_a, const PointBlock& b,
+                                 const double* density_b,
+                                 double* out_b) const {
+  const double two_sigma2 = 2.0 * sigma_ * sigma_;
+  // eroof: hot-begin (Gaussian mutual near-field P2P; K(x, x) = 1 is kept)
+  mutual_loops(a, density_a, out_a, b, density_b, out_b, 1.0,
+               [two_sigma2](double r2) { return std::exp(-r2 / two_sigma2); });
   // eroof: hot-end
 }
 

@@ -46,6 +46,25 @@ class Kernel {
   virtual void eval_batch(const PointBlock& targets, const PointBlock& sources,
                           const double* density, double* out) const;
 
+  /// Mutual accumulation over one block pair, each K evaluated once and
+  /// scattered both ways:
+  ///   out_a[i] += sum_j K(a_i, b_j) * density_b[j]
+  ///   out_b[j] += sum_i K(a_i, b_j) * density_a[i]
+  /// When `b` is the block `a` itself (same coordinate arrays), each pair
+  /// i < j is evaluated once and lands in both outputs, and the diagonal
+  /// adds K(a_i, a_i) * density_a[i] once -- zero for the singular kernels,
+  /// which skip it.
+  ///
+  /// Contract: K(x, y) == K(y, x) bitwise and per-pair values follow eval().
+  /// Each out_a[i] receives its row sum over the sources in index order as
+  /// one add; each out_b[j] accumulates its terms in increasing i. Results
+  /// therefore depend only on the order in which a caller visits blocks.
+  /// The base-class fallback loops over eval(); the bundled kernels override
+  /// it with flat `#pragma omp simd` implementations.
+  virtual void eval_mutual(const PointBlock& a, const double* density_a,
+                           double* out_a, const PointBlock& b,
+                           const double* density_b, double* out_b) const;
+
   /// Dense kernel matrix K[i][j] = K(targets[i], sources[j]).
   la::Matrix matrix(std::span<const Vec3> targets,
                     std::span<const Vec3> sources) const;
@@ -69,6 +88,9 @@ class LaplaceKernel final : public Kernel {
   double eval(const Vec3& x, const Vec3& y) const override;
   void eval_batch(const PointBlock& targets, const PointBlock& sources,
                   const double* density, double* out) const override;
+  void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
+                   const PointBlock& b, const double* density_b,
+                   double* out_b) const override;
   double flops_per_eval() const override { return 12; }
   std::string name() const override { return "laplace"; }
   bool homogeneous(double* degree) const override {
@@ -84,6 +106,9 @@ class YukawaKernel final : public Kernel {
   double eval(const Vec3& x, const Vec3& y) const override;
   void eval_batch(const PointBlock& targets, const PointBlock& sources,
                   const double* density, double* out) const override;
+  void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
+                   const PointBlock& b, const double* density_b,
+                   double* out_b) const override;
   double flops_per_eval() const override { return 20; }
   std::string name() const override { return "yukawa"; }
 
@@ -99,6 +124,9 @@ class GaussianKernel final : public Kernel {
   double eval(const Vec3& x, const Vec3& y) const override;
   void eval_batch(const PointBlock& targets, const PointBlock& sources,
                   const double* density, double* out) const override;
+  void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
+                   const PointBlock& b, const double* density_b,
+                   double* out_b) const override;
   double flops_per_eval() const override { return 14; }
   std::string name() const override { return "gaussian"; }
 

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -141,6 +142,64 @@ TEST(FmmAllocations, SteadyStateSessionStepIsAllocationFree) {
   const long after = g_new_calls.load(std::memory_order_relaxed);  // eroof-lint: allow(relaxed-atomic)
   EXPECT_EQ(after - before, 0);
   EXPECT_EQ(session.stats().refits, session.stats().moves);
+}
+
+TEST(FmmAllocations, SessionStepAcrossLeafBoundariesIsAllocationFree) {
+  // Moves that carry points into other leaves: occupancy and the tree order
+  // change, the structure does not, so every move is still a refit that
+  // keeps the lists and the U pair schedule -- with no allocation, and with
+  // potentials bitwise equal to a fresh evaluator on the moved points.
+  util::Rng rng(35);
+  const std::size_t n = 1200;
+  const auto pts = uniform_cube(n, rng);
+  const auto dens = random_densities(n, rng);
+  const FmmSession::Config cfg{{.max_points_per_box = 32,
+                                .uniform_depth = 2,
+                                .domain = {{0.5, 0.5, 0.5}, 0.5}},
+                               FmmConfig{.p = 4}};
+  FmmSession session(std::make_shared<const LaplaceKernel>(), pts, cfg);
+  const auto occupancy = [&] {
+    std::vector<std::uint32_t> counts;
+    for (const int b : session.evaluator().tree().leaves())
+      counts.push_back(session.evaluator().tree().node(b).num_points());
+    return counts;
+  };
+  const auto occupancy_before = occupancy();
+
+  std::vector<double> phi(n);
+  auto moved = pts;
+  // Step s sends points 3s..3s+2 next to points half the set away, which
+  // almost always sit in another of the 64 leaves; no leaf runs empty.
+  const auto jump = [&](int s) {
+    for (std::size_t k = 3 * static_cast<std::size_t>(s);
+         k < 3 * static_cast<std::size_t>(s) + 3; ++k) {
+      const Vec3 to = moved[k + n / 2];
+      moved[k] = {to.x, to.y, 0.5 + (to.z - 0.5) * 0.999};
+    }
+  };
+  jump(0);
+  session.move_to(moved);  // warm-up: sizes the refit scratch
+  session.evaluate_into(dens, phi);
+
+  // Quiescent read: no other thread is allocating between the probes.
+  const long before = g_new_calls.load(std::memory_order_relaxed);  // eroof-lint: allow(relaxed-atomic)
+  for (int s = 1; s <= 3; ++s) {
+    jump(s);
+    session.move_to(moved);
+    session.evaluate_into(dens, phi);
+  }
+  const long after = g_new_calls.load(std::memory_order_relaxed);  // eroof-lint: allow(relaxed-atomic)
+  EXPECT_EQ(after - before, 0);
+  EXPECT_EQ(session.stats().refits, session.stats().moves);
+  EXPECT_EQ(session.stats().moves, 4u);
+  EXPECT_NE(occupancy(), occupancy_before) << "no point changed leaves";
+
+  FmmEvaluator fresh(kernel_instance(), moved, cfg.tree, cfg.fmm);
+  const auto want = fresh.evaluate(dens);
+  ASSERT_EQ(want.size(), phi.size());
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(std::memcmp(&phi[i], &want[i], sizeof(double)), 0)
+        << "point " << i << ": " << phi[i] << " vs " << want[i];
 }
 
 TEST(FmmAllocations, SteadyStateDynamicsStepIsAllocationFree) {
