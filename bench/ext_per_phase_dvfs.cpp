@@ -41,9 +41,8 @@ int main() {
   std::vector<double> savings;
   for (const auto& in : bench::kFmmInputs) {
     const auto prof = bench::profile_fmm_input(in);
-    std::vector<hw::Workload> phases;
+    const auto phases = prof.workloads();
     std::string uv;
-    for (const auto& ph : prof.phases) phases.push_back(ph.workload);
     const auto cmp = model::compare_strategies(platform.model, platform.soc,
                                                phases, grid, transitions);
     for (std::size_t i = 0; i < prof.phases.size(); ++i)

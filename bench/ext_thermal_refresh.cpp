@@ -19,6 +19,7 @@
 //          to a grid corner: refreshing must cost nothing over static.
 // Exits nonzero if any of the three bounds below is missed.
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -46,28 +47,26 @@ hw::Workload compute_phase(const char* name, double flops, double dram,
   return w;
 }
 
-Section run_section(const bench::Platform& seed,
+Section run_section(const std::shared_ptr<const model::TuneContext>& ctx,
                     const std::vector<hw::Workload>& phases) {
   const int steps = 64;
   const hw::ThermalRamp ramp{1.0, 4.0, 4, 32, 0.0, 7};
-  const auto grid = hw::full_grid();
-  const hw::DvfsTransitionModel tm{100e-6, 50e-6};
+  const auto& tm = ctx->transitions;
 
-  model::ClosedLoopConfig cfg;
+  model::OnlineRefreshConfig cfg;
   // First refit only once the probe rotation has covered enough of the grid:
   // an underdetermined refit can install a worse schedule.
-  cfg.online.min_observations = 32;
-  cfg.online.cooldown = 16;
-  model::ClosedLoopScheduler loop(seed.model, seed.soc, grid, tm, phases, cfg);
-  loop.seed_anchor(seed.samples(hw::SettingRole::kTrain));
+  cfg.min_observations = 32;
+  cfg.cooldown = 16;
+  model::ClosedLoopScheduler loop(ctx, phases, cfg);
   const model::PhaseSchedule static_sched = loop.schedule();
 
   const util::RngStream noise(2024);
   Section out;
   for (int k = 0; k < steps; ++k) {
     const double leak = ramp.scale_at(static_cast<std::uint64_t>(k));
-    const hw::Soc hot = seed.soc.with_leakage_scale(leak);
-    const auto truth = model::oracle_phase_grid(hot, phases, grid);
+    const hw::Soc hot = ctx->soc.with_leakage_scale(leak);
+    const auto truth = model::oracle_phase_grid(hot, phases, ctx->grid);
     const auto cost = [&](const model::PhaseSchedule& s) {
       return model::true_schedule_cost(hot, phases, truth, s, tm).energy_j;
     };
@@ -83,17 +82,16 @@ Section run_section(const bench::Platform& seed,
 }  // namespace
 
 int main() {
-  const auto seed = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
   const std::vector<hw::Workload> track = {
       compute_phase("track_compute", 8e9, 1e6, 0.95, 0.2),
       compute_phase("track_compute2", 4e9, 5e5, 0.85, 0.15),
       compute_phase("track_mixed", 2e9, 64e6, 0.7, 0.7)};
-  std::vector<hw::Workload> kifmm;
-  for (const auto& ph : bench::profile_fmm_input({"hold", 16384, 64}).phases)
-    kifmm.push_back(ph.workload);
+  const auto kifmm =
+      bench::profile_fmm_input({"hold", 16384, 64}).workloads();
 
-  const Section tr = run_section(seed, track);
-  const Section ho = run_section(seed, kifmm);
+  const Section tr = run_section(ctx, track);
+  const Section ho = run_section(ctx, kifmm);
 
   std::cout << "Extension: closed-loop model refresh over a 64-step leakage "
                "ramp 1.0 -> 4.0 (true energies from the platform ground "

@@ -23,10 +23,9 @@ struct Setup {
 
 /// The KIFMM chain at n=16384, q=64 and the 105-setting grid.
 Setup make_setup() {
-  Setup s{bench::make_platform(), {}, hw::full_grid()};
-  const auto prof = bench::profile_fmm_input({"bench", 16384, 64});
-  for (const auto& ph : prof.phases) s.phases.push_back(ph.workload);
-  return s;
+  return {bench::make_platform(),
+          bench::profile_fmm_input({"bench", 16384, 64}).workloads(),
+          hw::full_grid()};
 }
 
 void BM_PredictPhaseGrid(benchmark::State& state) {

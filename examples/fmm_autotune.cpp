@@ -21,14 +21,12 @@
 #include <string>
 #include <vector>
 
-#include "core/fit.hpp"
 #include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/gpu_profile.hpp"
 #include "fmm/kernel.hpp"
 #include "fmm/pointgen.hpp"
 #include "hw/soc.hpp"
-#include "ubench/campaign.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -56,15 +54,11 @@ int main(int argc, char** argv) {
   const std::string csv_path = argc > 3 ? argv[3] : "fig_fmm_autotune.csv";
 
   // 1. Fit the energy model from the paper campaign (training half).
-  const auto soc = hw::Soc::tegra_k1();
+  const auto ctx = model::TuneContext::tegra_default();
+  const hw::Soc& soc = ctx->soc;
+  const model::EnergyModel& energy_model = ctx->model;
   const hw::PowerMon meter;
   const util::RngStream root(42);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  const auto energy_model = model::fit_energy_model(train).model;
 
   // 2. Model the CUDA execution of the KIFMM input (per-phase workloads).
   static const fmm::LaplaceKernel kernel;
@@ -75,11 +69,9 @@ int main(int argc, char** argv) {
       {.max_points_per_box = q,
        .uniform_depth = fmm::Octree::uniform_depth_for(n, q)},
       fmm::FmmConfig{.p = 4});
-  const auto prof = fmm::profile_gpu_execution(ev);
-  std::vector<hw::Workload> phases;
-  for (const auto& ph : prof.phases) phases.push_back(ph.workload);
+  const auto phases = fmm::profile_gpu_execution(ev).workloads();
 
-  const auto grid = hw::full_grid();
+  const auto& grid = ctx->grid;
   const auto pred =
       model::predict_phase_grid(energy_model, soc, phases, grid);
 
@@ -93,7 +85,7 @@ int main(int argc, char** argv) {
 
   // 3. Strategy comparison, with and without transition costs.
   const hw::DvfsTransitionModel no_cost{};
-  const hw::DvfsTransitionModel realistic{100e-6, 50e-6};
+  const hw::DvfsTransitionModel& realistic = ctx->transitions;
 
   const std::pair<const char*, hw::DvfsTransitionModel> configs[] = {
       {"zero-cost", no_cost}, {"100us+50uJ", realistic}};

@@ -11,13 +11,12 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/fit.hpp"
 #include "core/profile.hpp"
+#include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/gpu_profile.hpp"
 #include "fmm/pointgen.hpp"
 #include "trace/export.hpp"
-#include "ubench/campaign.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -29,14 +28,9 @@ int main(int argc, char** argv) {
                               : 128;
 
   // Fit the platform model once.
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const auto campaign = ub::paper_campaign(soc, meter, util::RngStream(42));
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  const auto m = model::fit_energy_model(train).model;
+  const auto ctx = model::TuneContext::tegra_default();
+  const hw::Soc& soc = ctx->soc;
+  const model::EnergyModel& m = ctx->model;
 
   // Build and profile the FMM.
   const fmm::LaplaceKernel kernel;

@@ -7,22 +7,16 @@
 // high system utilization.
 #include <iostream>
 
-#include "core/fit.hpp"
+#include "core/schedule.hpp"
 #include "hw/soc.hpp"
-#include "ubench/campaign.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace eroof;
 
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const auto campaign = ub::paper_campaign(soc, meter, util::RngStream(42));
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  const auto m = model::fit_energy_model(train).model;
+  const auto ctx = model::TuneContext::tegra_default();
+  const hw::Soc& soc = ctx->soc;
+  const model::EnergyModel& m = ctx->model;
 
   const auto setting = hw::setting(852, 924);
 

@@ -8,6 +8,15 @@
 #include "util/require.hpp"
 
 namespace eroof::model {
+namespace {
+
+const TuneContext& require_context(
+    const std::shared_ptr<const TuneContext>& ctx) {
+  EROOF_REQUIRE_MSG(ctx != nullptr, "ClosedLoopScheduler needs a TuneContext");
+  return *ctx;
+}
+
+}  // namespace
 
 IncrementalGram::IncrementalGram(double forgetting)
     : forgetting_(forgetting), gram_(kNumFitColumns, kNumFitColumns) {
@@ -78,7 +87,8 @@ FitResult IncrementalGram::fit(const IncrementalGram& anchor,
   return fit_normal_equations(g, atb, btb, rows_ + anchor.rows_);
 }
 
-OnlineRefresh::OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg)
+OnlineRefresh::OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg,
+                             std::span<const FitSample> anchor)
     : cfg_(cfg),
       model_(seed),
       gram_(cfg.forgetting),
@@ -86,10 +96,7 @@ OnlineRefresh::OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg)
   EROOF_REQUIRE(cfg_.drift_bound > 0);
   EROOF_REQUIRE(cfg_.drift_alpha > 0 && cfg_.drift_alpha <= 1.0);
   EROOF_REQUIRE(cfg_.anchor_weight >= 0);
-}
-
-void OnlineRefresh::seed_anchor(std::span<const FitSample> campaign) {
-  for (const FitSample& s : campaign) anchor_.add(s);
+  for (const FitSample& s : anchor) anchor_.add(s);
   has_anchor_ = anchor_.rows() > 0;
 }
 
@@ -175,47 +182,50 @@ PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
   return pred;
 }
 
-ClosedLoopScheduler::ClosedLoopScheduler(EnergyModel seed, hw::Soc soc,
-                                         std::vector<hw::DvfsSetting> grid,
-                                         hw::DvfsTransitionModel transitions,
-                                         std::vector<hw::Workload> phases,
-                                         ClosedLoopConfig cfg)
-    : soc_(std::move(soc)),
-      grid_(std::move(grid)),
-      transitions_(transitions),
+ClosedLoopScheduler::ClosedLoopScheduler(
+    std::shared_ptr<const TuneContext> ctx, std::vector<hw::Workload> phases,
+    OnlineRefreshConfig cfg)
+    : ctx_(std::move(ctx)),
       phases_(std::move(phases)),
-      cfg_(cfg),
-      meter_(cfg.meter),
-      refresh_(seed, cfg.online) {
-  EROOF_REQUIRE(!grid_.empty());
+      refresh_(require_context(ctx_).model, cfg, ctx_->campaign) {
+  EROOF_REQUIRE(!ctx_->grid.empty());
   EROOF_REQUIRE(!phases_.empty());
-  install();
+  install(false);
 }
 
-void ClosedLoopScheduler::install() {
+void ClosedLoopScheduler::retarget(std::vector<hw::Workload> phases) {
+  EROOF_REQUIRE(!phases.empty());
+  phases_ = std::move(phases);
+  install(false);
+}
+
+void ClosedLoopScheduler::install(bool deadband) {
+  const TuneContext& ctx = *ctx_;
   const PhaseGridPrediction pred =
-      predict_phase_grid(refresh_.model(), soc_, phases_, grid_);
-  PhaseSchedule fresh = schedule_phases(pred, transitions_, cfg_.time_weight);
-  if (!schedule_.pick.empty() && cfg_.install_deadband > 0) {
-    // Hysteresis: keep the installed schedule unless the refreshed model
-    // predicts a real improvement from switching (see ClosedLoopConfig).
-    const double cur = schedule_objective(pred, transitions_, schedule_.pick,
-                                          cfg_.time_weight);
-    const double alt = schedule_objective(pred, transitions_, fresh.pick,
-                                          cfg_.time_weight);
-    if (alt >= cur * (1.0 - cfg_.install_deadband)) return;
+      predict_phase_grid(refresh_.model(), ctx.soc, phases_, ctx.grid);
+  PhaseSchedule fresh = schedule_phases(pred, ctx.transitions);
+  if (deadband) {
+    // Hysteresis: keep the installed picks unless the refreshed model
+    // predicts a real improvement from switching (see kInstallDeadband).
+    // Either way the stored schedule is priced by the refreshed model.
+    PhaseSchedule held = price_schedule(pred, ctx.transitions, schedule_.pick);
+    if (fresh.pred_energy_j >= held.pred_energy_j * (1.0 - kInstallDeadband))
+      fresh = std::move(held);
   }
   schedule_ = std::move(fresh);
   settings_.resize(schedule_.pick.size());
   for (std::size_t p = 0; p < settings_.size(); ++p)
-    settings_[p] = grid_[schedule_.pick[p]];
+    settings_[p] = ctx.grid[schedule_.pick[p]];
 }
 
 ClosedLoopScheduler::StepReport ClosedLoopScheduler::step(
     double leak_scale, const util::RngStream& noise) {
-  const hw::Soc hot = soc_.with_leakage_scale(leak_scale);
-  const hw::SequenceMeasurement seq =
-      hot.run_sequence(phases_, settings_, transitions_, meter_, noise);
+  const TuneContext& ctx = *ctx_;
+  const hw::Soc hot = ctx.soc.with_leakage_scale(leak_scale);
+  const hw::SequenceMeasurement seq = hot.run_sequence(
+      phases_, settings_, ctx.transitions, meter_, noise, &traces_);
+  // Serial mirror, phase order: trace counter totals replay bit for bit.
+  for (const hw::PowerTrace& t : traces_) hw::PowerMon::mirror_to_session(t);
 
   StepReport rep;
   rep.leak_scale = leak_scale;
@@ -223,18 +233,16 @@ ClosedLoopScheduler::StepReport ClosedLoopScheduler::step(
   rep.measured_time_s = seq.time_s;
   for (const hw::Measurement& m : seq.phases)
     rep.drift = refresh_.observe(to_fit_sample(m));
-  if (cfg_.idle_probe && !grid_.empty()) {
-    // Rotate the probed setting through the *full* grid, not just the
-    // schedule's picks: the pi_0 rows must cover voltages the schedule
-    // never visits, or the refit cannot extrapolate constant power there.
-    const hw::DvfsSetting s = grid_[steps_ % grid_.size()];
-    const hw::Measurement m =
-        hot.run(idle_probe_workload(), s, meter_, noise.fork("idle"));
-    rep.drift = refresh_.observe(probe_fit_sample(m));
-  }
+  // Rotate the probed setting through the *full* grid, not just the
+  // schedule's picks: the pi_0 rows must cover voltages the schedule never
+  // visits, or the refit cannot extrapolate constant power there.
+  const hw::DvfsSetting s = ctx.grid[steps_ % ctx.grid.size()];
+  const hw::Measurement m =
+      hot.run(idle_probe_workload(), s, meter_, noise.fork("idle"));
+  rep.drift = refresh_.observe(probe_fit_sample(m));
   if (refresh_.should_refresh()) {
     refresh_.refresh();
-    install();
+    install(true);
     rep.refreshed = true;
   }
   ++steps_;

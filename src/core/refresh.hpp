@@ -28,30 +28,33 @@
 //     in the mean. Past `drift_bound` (after a cooldown) the caller re-fits
 //     and re-runs the PR 5 chain DP.
 //
-//   ClosedLoopScheduler -- the reference controller for a *fixed* phase
-//     chain: executes the installed schedule on a thermally drifting SoC,
-//     streams the per-phase measurements into OnlineRefresh, and on a
-//     trigger refits + reinstalls the DP schedule. The dynamics engine
-//     (dynamics::DynamicsEngine, Tuning::refresh) wires the same loop into
-//     time-stepping runs through model::ScheduleReuse::install.
+//   ClosedLoopScheduler -- the one closed-loop controller: built from a
+//     shared TuneContext and a phase chain, it executes the installed
+//     schedule on a thermally drifting SoC, streams the per-phase
+//     measurements into OnlineRefresh, and on a trigger refits + reinstalls
+//     the DP schedule behind an install dead-band. The dynamics engine
+//     (dynamics::DynamicsEngine, Tuning::refresh) steps the same object and
+//     retarget()s it whenever it re-profiles the chain.
 //
 // Identifiability: an in-service schedule visits only a handful of the 105
 // grid settings, so the streamed rows alone underdetermine the 9-column
 // system (the three constant-power columns are nearly collinear at a fixed
-// voltage). Two mitigations, both optional: an *anchor* -- the seed
-// campaign's Gram folded in at a fixed fraction of the live stream's weight
-// -- and an *idle probe*, a zero-op kernel whose measurement is a pure
-// pi_0 row at the probed voltage (its sub-sample-period duration exercises
-// PowerMon's 2-point-trapezoid contract).
+// voltage). Two mitigations: an *anchor* -- the context's seed campaign
+// Gram folded in at a fixed fraction of the live stream's weight -- and an
+// *idle probe*, a zero-op kernel whose measurement is a pure pi_0 row at
+// the probed voltage (its sub-sample-period duration exercises PowerMon's
+// 2-point-trapezoid contract).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/fit.hpp"
 #include "core/schedule.hpp"
+#include "hw/powermon.hpp"
 #include "hw/soc.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
@@ -120,11 +123,11 @@ struct OnlineRefreshConfig {
 /// EnergyModel; observe() feeds it one measured phase at a time.
 class OnlineRefresh {
  public:
-  explicit OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg = {});
-
-  /// Installs the identifiability anchor: the (batch) campaign the seed
-  /// model was fitted from, accumulated once with forgetting 1.
-  void seed_anchor(std::span<const FitSample> campaign);
+  /// `anchor`: the identifiability anchor -- the (batch) campaign the seed
+  /// model was fitted from, accumulated once with forgetting 1. Empty = no
+  /// anchor.
+  explicit OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg = {},
+                         std::span<const FitSample> anchor = {});
 
   /// One in-service measurement: updates the drift EWMA against the current
   /// model's prediction and rank-1-updates the streamed Gram. Non-finite
@@ -192,41 +195,30 @@ PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
                                       std::span<const hw::Workload> phases,
                                       std::span<const hw::DvfsSetting> grid);
 
-struct ClosedLoopConfig {
-  OnlineRefreshConfig online;
-  hw::PowerMonConfig meter;
-  double time_weight = 0;  ///< chain-DP objective (0 = pure energy)
-  bool idle_probe = true;  ///< append a pi_0 probe row each step
-  /// Install dead-band: after a refit, the fresh DP schedule replaces the
-  /// installed one only if the *new* model predicts at least this relative
-  /// improvement from switching. Refits move the coefficients a little
-  /// every time (measurement noise, the ground truth's voltage bend that a
-  /// linear-in-V pi_0 cannot express); without hysteresis the DP flips
-  /// between near-tied settings and the controller thrashes -- paying
-  /// transition costs, and occasionally pinning a bias-driven pick.
-  double install_deadband = 0.01;
-};
+/// Install dead-band of ClosedLoopScheduler: after a refit, the fresh DP
+/// schedule replaces the installed one only if the *new* model predicts at
+/// least this relative improvement from switching. Refits move the
+/// coefficients a little every time (measurement noise, the ground truth's
+/// voltage bend that a linear-in-V pi_0 cannot express); without hysteresis
+/// the DP flips between near-tied settings and the controller thrashes --
+/// paying transition costs, and occasionally pinning a bias-driven pick.
+inline constexpr double kInstallDeadband = 0.01;
 
-/// Reference closed-loop controller for a fixed phase chain: owns the
-/// installed chain-DP schedule and an OnlineRefresh. Each step executes the
-/// schedule on `soc.with_leakage_scale(leak_scale)` with measurement noise
-/// from the caller's stream, observes every phase (plus the rotating idle
-/// probe), and on a drift trigger refits + re-runs the DP. Everything is a
-/// pure function of (seed model, config, the per-step (leak_scale, stream)
-/// arguments), bitwise-identical across OpenMP thread counts.
+/// The closed-loop controller for a phase chain: owns the installed
+/// chain-DP schedule (pure energy objective) and an OnlineRefresh seeded
+/// with the context's model and anchored on its campaign. Each step
+/// executes the schedule on `ctx.soc.with_leakage_scale(leak_scale)` with
+/// measurement noise from the caller's stream, mirrors the phases' PowerMon
+/// traces into the trace session, observes every phase plus the rotating
+/// idle probe, and on a drift trigger refits + re-runs the DP behind
+/// kInstallDeadband. Everything is a pure function of (context, phases,
+/// config, the per-step (leak_scale, stream) arguments), bitwise-identical
+/// across OpenMP thread counts.
 class ClosedLoopScheduler {
  public:
-  ClosedLoopScheduler(EnergyModel seed, hw::Soc soc,
-                      std::vector<hw::DvfsSetting> grid,
-                      hw::DvfsTransitionModel transitions,
+  ClosedLoopScheduler(std::shared_ptr<const TuneContext> ctx,
                       std::vector<hw::Workload> phases,
-                      ClosedLoopConfig cfg = {});
-
-  /// Installs the seed campaign as the OnlineRefresh identifiability
-  /// anchor (see OnlineRefresh::seed_anchor).
-  void seed_anchor(std::span<const FitSample> campaign) {
-    refresh_.seed_anchor(campaign);
-  }
+                      OnlineRefreshConfig cfg = {});
 
   struct StepReport {
     double leak_scale = 1.0;
@@ -239,6 +231,13 @@ class ClosedLoopScheduler {
   /// One closed-loop step at the given thermal state.
   StepReport step(double leak_scale, const util::RngStream& noise);
 
+  /// Adopts a re-profiled phase chain and installs the DP schedule for it
+  /// under the currently trusted model -- unconditionally, without the
+  /// dead-band (the installed picks belong to the old chain).
+  void retarget(std::vector<hw::Workload> phases);
+
+  /// The installed schedule, priced by the currently trusted model (a refit
+  /// that keeps the picks re-prices them).
   const PhaseSchedule& schedule() const { return schedule_; }
   /// The installed schedule's per-phase settings (grid lookups applied).
   std::span<const hw::DvfsSetting> settings() const { return settings_; }
@@ -247,17 +246,17 @@ class ClosedLoopScheduler {
   std::span<const hw::Workload> phases() const { return phases_; }
 
  private:
-  void install();  ///< chain DP with the currently trusted model
+  /// Chain DP with the currently trusted model; `deadband` keeps the
+  /// installed picks unless switching predicts a kInstallDeadband gain.
+  void install(bool deadband);
 
-  hw::Soc soc_;
-  std::vector<hw::DvfsSetting> grid_;
-  hw::DvfsTransitionModel transitions_;
+  std::shared_ptr<const TuneContext> ctx_;
   std::vector<hw::Workload> phases_;
-  ClosedLoopConfig cfg_;
   hw::PowerMon meter_;
   OnlineRefresh refresh_;
   PhaseSchedule schedule_;
   std::vector<hw::DvfsSetting> settings_;
+  std::vector<hw::PowerTrace> traces_;  ///< reused per-step trace buffer
   std::uint64_t steps_ = 0;
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "trace/trace.hpp"
+#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 
 namespace eroof::model {
@@ -21,28 +23,6 @@ double transition_cost(const PhaseGridPrediction& pred,
          tm.latency_s * (pred.const_power_w[to] + time_weight);
 }
 
-/// Fills a schedule's predicted totals and switch count from its picks.
-void fill_totals(const PhaseGridPrediction& pred,
-                 const hw::DvfsTransitionModel& tm, PhaseSchedule* s) {
-  s->pred_time_s = 0;
-  s->pred_energy_j = 0;
-  s->switches = 0;
-  for (std::size_t p = 0; p < s->pick.size(); ++p) {
-    s->pred_time_s += pred.time_at(p, s->pick[p]);
-    s->pred_energy_j += pred.energy_at(p, s->pick[p]);
-    if (p > 0) {
-      const int nd =
-          tm.changed_domains(pred.grid[s->pick[p - 1]], pred.grid[s->pick[p]]);
-      if (nd > 0) {
-        s->switches += nd;
-        s->pred_time_s += tm.latency_s;
-        s->pred_energy_j +=
-            tm.energy_j * nd + tm.latency_s * pred.const_power_w[s->pick[p]];
-      }
-    }
-  }
-}
-
 /// True when schedule `a` is dominated by `b` (no better on either axis,
 /// strictly worse on at least one).
 bool dominated(const PhaseSchedule& a, const PhaseSchedule& b) {
@@ -51,6 +31,20 @@ bool dominated(const PhaseSchedule& a, const PhaseSchedule& b) {
 }
 
 }  // namespace
+
+std::shared_ptr<const TuneContext> TuneContext::tegra_default() {
+  const auto soc = hw::Soc::tegra_k1();
+  const auto campaign =
+      ub::paper_campaign(soc, hw::PowerMon{}, util::RngStream(42));
+  std::vector<FitSample> train;
+  for (const auto& s : campaign)
+    if (s.role == hw::SettingRole::kTrain)
+      train.push_back(to_fit_sample(s.meas));
+  const EnergyModel model = fit_energy_model(train).model;
+  return std::make_shared<const TuneContext>(
+      TuneContext{soc, model, hw::full_grid(),
+                  hw::DvfsTransitionModel{100e-6, 50e-6}, std::move(train)});
+}
 
 PhaseGridPrediction predict_phase_grid(const EnergyModel& model,
                                        const hw::Soc& soc,
@@ -134,12 +128,11 @@ PhaseSchedule schedule_phases(const PhaseGridPrediction& pred,
     if (dp[s] < dp[last]) last = s;
   // eroof: hot-end
 
-  PhaseSchedule out;
-  out.pick.resize(np);
-  out.pick[np - 1] = last;
+  std::vector<std::size_t> pick(np);
+  pick[np - 1] = last;
   for (std::size_t p = np - 1; p > 0; --p)
-    out.pick[p - 1] = back[p * ns + out.pick[p]];
-  fill_totals(pred, transitions, &out);
+    pick[p - 1] = back[p * ns + pick[p]];
+  PhaseSchedule out = price_schedule(pred, transitions, pick);
 
   if (span.active()) {
     span.arg("pred_energy_j", out.pred_energy_j);
@@ -149,21 +142,28 @@ PhaseSchedule schedule_phases(const PhaseGridPrediction& pred,
   return out;
 }
 
-double schedule_objective(const PhaseGridPrediction& pred,
-                          const hw::DvfsTransitionModel& transitions,
-                          std::span<const std::size_t> pick,
-                          double time_weight) {
+PhaseSchedule price_schedule(const PhaseGridPrediction& pred,
+                             const hw::DvfsTransitionModel& transitions,
+                             std::span<const std::size_t> pick) {
   EROOF_REQUIRE(pick.size() == pred.n_phases());
-  EROOF_REQUIRE(time_weight >= 0);
-  double cost = 0;
+  PhaseSchedule s;
+  s.pick.assign(pick.begin(), pick.end());
   for (std::size_t p = 0; p < pick.size(); ++p) {
     EROOF_REQUIRE(pick[p] < pred.n_settings());
-    cost += pred.energy_at(p, pick[p]) + time_weight * pred.time_at(p, pick[p]);
-    if (p > 0)
-      cost += transition_cost(pred, transitions, pick[p - 1], pick[p],
-                              time_weight);
+    s.pred_time_s += pred.time_at(p, pick[p]);
+    s.pred_energy_j += pred.energy_at(p, pick[p]);
+    if (p > 0) {
+      const int nd = transitions.changed_domains(pred.grid[pick[p - 1]],
+                                                 pred.grid[pick[p]]);
+      if (nd > 0) {
+        s.switches += nd;
+        s.pred_time_s += transitions.latency_s;
+        s.pred_energy_j += transitions.energy_j * nd +
+                           transitions.latency_s * pred.const_power_w[pick[p]];
+      }
+    }
   }
-  return cost;
+  return s;
 }
 
 PhaseSchedule best_uniform_schedule(const PhaseGridPrediction& pred,
@@ -186,10 +186,7 @@ PhaseSchedule best_uniform_schedule(const PhaseGridPrediction& pred,
   }
   // eroof: hot-end
 
-  PhaseSchedule out;
-  out.pick.assign(np, best);
-  fill_totals(pred, {}, &out);
-  return out;
+  return price_schedule(pred, {}, std::vector<std::size_t>(np, best));
 }
 
 PhaseSchedule race_to_halt_schedule(const PhaseGridPrediction& pred) {
@@ -203,10 +200,8 @@ PhaseSchedule race_to_halt_schedule(const PhaseGridPrediction& pred) {
          b.mem.freq_mhz > a.mem.freq_mhz))
       race = s;
   }
-  PhaseSchedule out;
-  out.pick.assign(pred.n_phases(), race);
-  fill_totals(pred, {}, &out);
-  return out;
+  return price_schedule(pred, {},
+                        std::vector<std::size_t>(pred.n_phases(), race));
 }
 
 std::vector<ParetoPoint> pareto_frontier(

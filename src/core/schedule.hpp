@@ -34,10 +34,29 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/fit.hpp"
 #include "core/model.hpp"
 #include "hw/soc.hpp"
 
 namespace eroof::model {
+
+/// Everything the per-phase schedule search needs, fitted once and shared
+/// read-only by every caller (serving workers, dynamics engines, the closed
+/// loop): the SoC model, the energy model fitted from the paper campaign's
+/// training half, the DVFS grid, the transition-cost model, and the training
+/// samples the model was fitted from -- the closed loop's identifiability
+/// anchor. Hand-built contexts may leave `campaign` empty (no anchor).
+struct TuneContext {
+  hw::Soc soc;
+  EnergyModel model;
+  std::vector<hw::DvfsSetting> grid;
+  hw::DvfsTransitionModel transitions;
+  std::vector<FitSample> campaign;
+
+  /// Tegra K1 SoC, model fitted from the paper campaign (seed 42), full
+  /// clock grid, realistic 100us/50uJ transitions.
+  static std::shared_ptr<const TuneContext> tegra_default();
+};
 
 /// Dense per-(phase, setting) prediction table, row-major by phase. Times
 /// come from the SoC's roofline timing model (utilization-aware, noiseless);
@@ -90,14 +109,15 @@ PhaseSchedule schedule_phases(const PhaseGridPrediction& pred,
                               const hw::DvfsTransitionModel& transitions,
                               double time_weight = 0);
 
-/// The chain objective of an arbitrary assignment under `pred` -- exactly
-/// what schedule_phases minimizes. Lets a caller compare an already
-/// installed schedule against a fresh DP pick under a *new* prediction
+/// Prices an arbitrary assignment under `pred`: the predicted totals and
+/// switch count of running `pick`, transition stalls and switch energy
+/// included -- the same sums schedule_phases reports for its own pick, so at
+/// time_weight 0 its pred_energy_j is exactly the DP objective. Lets a
+/// caller re-price an already installed schedule under a *new* prediction
 /// table (e.g. the closed loop's install dead-band).
-double schedule_objective(const PhaseGridPrediction& pred,
-                          const hw::DvfsTransitionModel& transitions,
-                          std::span<const std::size_t> pick,
-                          double time_weight = 0);
+PhaseSchedule price_schedule(const PhaseGridPrediction& pred,
+                             const hw::DvfsTransitionModel& transitions,
+                             std::span<const std::size_t> pick);
 
 /// The best *uniform* schedule: one setting for every phase (no switches).
 /// Returned as a PhaseSchedule with all picks equal.

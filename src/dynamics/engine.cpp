@@ -2,31 +2,12 @@
 
 #include <utility>
 
-#include "core/fit.hpp"
 #include "fmm/gpu_profile.hpp"
-#include "hw/powermon.hpp"
 #include "trace/trace.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::dynamics {
-
-std::shared_ptr<const TuneContext> TuneContext::tegra_default(
-    std::uint64_t campaign_seed) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const util::RngStream root(campaign_seed);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  auto model = model::fit_energy_model(train).model;
-  return std::make_shared<const TuneContext>(
-      TuneContext{soc, model, hw::full_grid(),
-                  hw::DvfsTransitionModel{100e-6, 50e-6}, std::move(train)});
-}
 
 DynamicsEngine::DynamicsEngine(std::shared_ptr<const fmm::Kernel> kernel,
                                ParticleSystem particles, Config cfg)
@@ -43,14 +24,7 @@ DynamicsEngine::DynamicsEngine(std::shared_ptr<const fmm::Kernel> kernel,
   EROOF_REQUIRE_MSG(!cfg_.tuning.refresh.enabled || cfg_.tuning.context,
                     "Tuning::refresh requires a TuneContext");
   phi_.resize(ps_.size());
-  if (cfg_.tuning.context) {
-    reuse_.emplace(cfg_.tuning.retune_bound);
-    if (cfg_.tuning.refresh.enabled) {
-      refresh_.emplace(cfg_.tuning.context->model, cfg_.tuning.refresh.online);
-      if (!cfg_.tuning.context->campaign.empty())
-        refresh_->seed_anchor(cfg_.tuning.context->campaign);
-    }
-  }
+  if (cfg_.tuning.context) reuse_.emplace(kRetuneBound);
 }
 
 void DynamicsEngine::step(Mover& mover) {
@@ -74,7 +48,29 @@ void DynamicsEngine::step(Mover& mover) {
     // The closed loop (in-service measurement + model drift) allocates
     // per-step buffers by design, so it stays outside the hot regions and
     // is strictly opt-in.
-    if (refresh_) measure_and_refresh();
+    const Tuning::Refresh& rcfg = cfg_.tuning.refresh;
+    if (rcfg.enabled) {
+      trace::ScopedSpan span("dynamics.refresh", "dynamics");
+      const std::uint64_t i = stats_.steps - 1;
+      // Identity-keyed noise: the step's measurements depend only on
+      // (measure_seed, step), never on how many retunes or refreshes
+      // preceded them -- the whole loop replays bitwise across thread
+      // counts.
+      const auto rep = loop_->step(
+          rcfg.ramp.scale_at(i),
+          util::RngStream(rcfg.measure_seed).fork("refresh").fork(i));
+      stats_.measured_energy_j += rep.measured_energy_j;
+      stats_.measured_time_s += rep.measured_time_s;
+      stats_.last_leak_scale = rep.leak_scale;
+      stats_.drift = rep.drift;
+      if (rep.refreshed) {
+        ++stats_.refreshes;
+        trace::counter_add("dynamics.refreshes", 1.0);
+        // Re-profile and re-search with the refreshed model, without the
+        // loop's dead-band, and rebaseline the reuse monitor.
+        retune();
+      }
+    }
   }
 }
 
@@ -99,59 +95,13 @@ void DynamicsEngine::retune() {
   ++stats_.tunes;
   trace::counter_add("dynamics.tunes", 1.0);
   trace::ScopedSpan span("dynamics.retune", "dynamics");
-  const auto prof = fmm::profile_gpu_execution(session_.evaluator());
-  phases_.clear();
-  phases_.reserve(prof.phases.size());
-  for (const auto& p : prof.phases) phases_.push_back(p.workload);
-  const TuneContext& ctx = *cfg_.tuning.context;
-  // With refresh on, the search prices the grid with the *currently
-  // trusted* (possibly refitted) model, not the frozen seed.
-  const model::EnergyModel& m = refresh_ ? refresh_->model() : ctx.model;
-  const auto pred = model::predict_phase_grid(m, ctx.soc, phases_, ctx.grid);
-  reuse_->install(model::schedule_phases(pred, ctx.transitions), work_);
-  settings_.resize(reuse_->schedule().pick.size());
-  for (std::size_t p = 0; p < settings_.size(); ++p)
-    settings_[p] = ctx.grid[reuse_->schedule().pick[p]];
-}
-
-void DynamicsEngine::measure_and_refresh() {
-  const TuneContext& ctx = *cfg_.tuning.context;
-  const Tuning::Refresh& rcfg = cfg_.tuning.refresh;
-  const std::uint64_t step_idx = stats_.steps - 1;
-  const double scale = rcfg.ramp.scale_at(step_idx);
-  const hw::Soc hot = ctx.soc.with_leakage_scale(scale);
-  // Identity-keyed noise: the step's measurements depend only on
-  // (measure_seed, step), never on how many retunes or refreshes preceded
-  // them -- the whole loop replays bitwise across thread counts.
-  const util::RngStream noise =
-      util::RngStream(rcfg.measure_seed).fork("refresh").fork(step_idx);
-  const hw::SequenceMeasurement seq = hot.run_sequence(
-      phases_, settings_, ctx.transitions, meter_, noise, &traces_);
-  // Serial mirror, phase order: trace counter totals replay bit for bit.
-  for (const hw::PowerTrace& t : traces_) hw::PowerMon::mirror_to_session(t);
-  for (const hw::Measurement& m : seq.phases)
-    stats_.drift = refresh_->observe(model::to_fit_sample(m));
-  if (rcfg.idle_probe && !ctx.grid.empty()) {
-    // Full-grid rotation + magnitude normalization: the pi_0 probe must
-    // cover voltages the schedule never visits, at phase-row weight (see
-    // model::probe_fit_sample).
-    const hw::DvfsSetting s = ctx.grid[step_idx % ctx.grid.size()];
-    const hw::Measurement m =
-        hot.run(model::idle_probe_workload(), s, meter_, noise.fork("idle"));
-    stats_.drift = refresh_->observe(model::probe_fit_sample(m));
-  }
-  stats_.measured_energy_j += seq.energy_j;
-  stats_.measured_time_s += seq.time_s;
-  stats_.last_leak_scale = scale;
-  if (refresh_->should_refresh()) {
-    trace::ScopedSpan span("dynamics.refresh", "dynamics");
-    refresh_->refresh();
-    ++stats_.refreshes;
-    trace::counter_add("dynamics.refreshes", 1.0);
-    // Re-run the chain DP with the refreshed model and rebaseline the
-    // reuse monitor at the current work vector.
-    retune();
-  }
+  auto phases = fmm::profile_gpu_execution(session_.evaluator()).workloads();
+  if (loop_)
+    loop_->retarget(std::move(phases));
+  else
+    loop_.emplace(cfg_.tuning.context, std::move(phases),
+                  cfg_.tuning.refresh.online);
+  reuse_->install(loop_->schedule(), work_);
 }
 
 }  // namespace eroof::dynamics

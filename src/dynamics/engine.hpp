@@ -16,12 +16,13 @@
 // cost of one allocation-free divergence check.
 //
 // Tuning::refresh (opt-in) closes the *model* side of the same loop
-// (DESIGN.md §14): each tuned step additionally executes the installed
-// schedule on the SoC at the step's ThermalRamp leakage scale, mirrors the
-// per-phase PowerMon samples into the trace session, streams them into a
-// model::OnlineRefresh, and -- when the drift detector fires -- refits the
-// energy model and re-runs the chain DP, rebaselining through
-// ScheduleReuse::install. Work drift and model drift thus share one
+// (DESIGN.md §14) with the library's one closed-loop controller: every step
+// calls model::ClosedLoopScheduler::step at the step's ThermalRamp leakage
+// scale, which executes the installed schedule on the SoC, mirrors the
+// per-phase PowerMon samples into the trace session and streams them into
+// the drift detector. When the detector fires and the loop refits, the
+// engine re-runs retune() -- re-profile, re-search without the dead-band,
+// rebaseline ScheduleReuse -- so work drift and model drift share one
 // install/reuse bookkeeping path.
 #pragma once
 
@@ -37,39 +38,19 @@
 #include "dynamics/mover.hpp"
 #include "dynamics/particles.hpp"
 #include "fmm/session.hpp"
-#include "hw/dvfs.hpp"
-#include "hw/powermon.hpp"
 #include "hw/soc.hpp"
 
 namespace eroof::dynamics {
 
-/// Everything the per-phase schedule search needs, shared read-only across
-/// the run: SoC model, fitted energy model, DVFS grid, transition costs.
-/// Mirrors serve::ScheduleContext (serve depends on core+fmm like we do;
-/// neither layer may depend on the other).
-struct TuneContext {
-  hw::Soc soc;
-  model::EnergyModel model;
-  std::vector<hw::DvfsSetting> grid;
-  hw::DvfsTransitionModel transitions;
-  /// The training samples `model` was fitted from; the refresh loop seeds
-  /// its identifiability anchor with them. May be empty for hand-built
-  /// contexts (the anchor is then simply skipped).
-  std::vector<model::FitSample> campaign;
-
-  /// Tegra K1 SoC, model fitted from the seeded paper campaign, full clock
-  /// grid, realistic 100us/50uJ transitions.
-  static std::shared_ptr<const TuneContext> tegra_default(
-      std::uint64_t campaign_seed = 42);
-};
+/// The shared tuning context. The name is kept only because the frozen
+/// end-to-end benchmark spells it; new code uses model::TuneContext.
+using TuneContext = model::TuneContext;
 
 class DynamicsEngine {
  public:
   /// DVFS tuning knobs, all inert while `context` is null.
   struct Tuning {
     std::shared_ptr<const TuneContext> context;  ///< null = no DVFS tuning
-    /// Max tolerated per-phase relative work drift before a re-search.
-    double retune_bound = 0.10;
 
     /// Opt-in closed-loop model refresh under thermal drift.
     struct Refresh {
@@ -79,11 +60,12 @@ class DynamicsEngine {
       hw::ThermalRamp ramp;
       /// Root of the per-step PowerMon measurement-noise streams.
       std::uint64_t measure_seed = 0;
-      /// Append the rotating zero-op pi_0 probe to each step's samples.
-      bool idle_probe = true;
     };
     Refresh refresh;
   };
+
+  /// Max tolerated per-phase relative work drift before a re-search.
+  static constexpr double kRetuneBound = 0.10;
 
   struct Config {
     fmm::FmmSession::Config session;
@@ -118,7 +100,7 @@ class DynamicsEngine {
   }
   /// The refresh state; null unless Tuning::refresh is enabled.
   const model::OnlineRefresh* refresh() const {
-    return refresh_ ? &*refresh_ : nullptr;
+    return cfg_.tuning.refresh.enabled && loop_ ? &loop_->refresh() : nullptr;
   }
 
   struct Stats {
@@ -137,7 +119,6 @@ class DynamicsEngine {
  private:
   void gather_phase_work();
   void retune();
-  void measure_and_refresh();
 
   Config cfg_;
   ParticleSystem ps_;
@@ -145,16 +126,12 @@ class DynamicsEngine {
   std::vector<double> phi_;
   double energy_ = 0;
   std::optional<model::ScheduleReuse> reuse_;
-  std::optional<model::OnlineRefresh> refresh_;
-  hw::PowerMon meter_;
+  /// The installed schedule's owner: emplaced by the first retune(),
+  /// retarget()ed by every later one, stepped only with refresh on.
+  std::optional<model::ClosedLoopScheduler> loop_;
   /// Per-phase structural work of the last evaluation, UP,U,V,W,X,DOWN --
   /// the profile_gpu_execution phase order the schedule is searched in.
   std::array<double, 6> work_{};
-  /// Workloads + settings of the installed schedule (kept for in-service
-  /// execution between searches).
-  std::vector<hw::Workload> phases_;
-  std::vector<hw::DvfsSetting> settings_;
-  std::vector<hw::PowerTrace> traces_;  ///< reused per-step trace buffer
   Stats stats_;
 };
 

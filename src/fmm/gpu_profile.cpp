@@ -10,15 +10,43 @@
 namespace eroof::fmm {
 namespace {
 
-/// Global-memory front end: tracks analytic byte totals for the whole phase
-/// while feeding a (possibly sampled) subset of accesses to the cache
-/// hierarchy; the simulated level distribution is then scaled back up.
+// The modeled CUDA implementation.
+
+/// Integer (address/loop/predicate) instructions per SP flop in the pairwise
+/// inner loops. Real GPU kernels spend most of their instruction stream here
+/// (paper Fig. 4: ~60% integer).
+constexpr double kIntPerFlop = 1.5;
+
+/// Compute utilization per phase: fraction of peak issue rate achieved.
+constexpr double kUtilUp = 0.15;
+constexpr double kUtilU = 0.22;  ///< the paper's ~1/4-of-peak U-list kernel
+constexpr double kUtilV = 0.30;
+constexpr double kUtilW = 0.15;
+constexpr double kUtilX = 0.15;
+constexpr double kUtilDown = 0.15;
+
+/// Achieved fraction of peak DRAM bandwidth in the streaming (V) phase and
+/// elsewhere.
+constexpr double kMemUtilV = 0.50;
+constexpr double kMemUtilDefault = 0.45;
+
+/// Shared-memory broadcast efficiency of the pairwise loops: warps read a
+/// staged source value once per warp (hardware broadcast), not once per
+/// thread, so SM transactions per interaction shrink by roughly this factor
+/// relative to the naive per-thread count.
+constexpr double kSmBroadcastFactor = 8.0;
+
+/// Thread blocks resident per SMX. The V phase's global reads interleave
+/// across this many concurrently executing target boxes; Morton-adjacent
+/// targets share most of their V-list sources, so the interleaved stream is
+/// what gives the L2 its hit traffic (the paper's Fig. 6 shows L2 serving
+/// 30-40% of data-access energy).
+constexpr std::size_t kConcurrentBlocks = 16;
+
+/// Global-memory front end: tracks the phase's byte totals while feeding
+/// every access to the cache hierarchy.
 class GMem {
  public:
-  void begin_item(std::size_t item_index, std::size_t sample_rate) {
-    sampling_ = (item_index % sample_rate) == 0;
-  }
-
   void read(std::uint64_t addr, std::uint64_t bytes) {
     access(addr, bytes, false);
   }
@@ -26,11 +54,6 @@ class GMem {
     access(addr, bytes, true);
   }
 
-  /// Scale factor from sampled to analytic traffic.
-  double scale() const {
-    const double sampled = sampled_bytes_;
-    return sampled > 0 ? analytic_bytes_ / sampled : 1.0;
-  }
   double read_bytes() const { return read_bytes_; }
   double write_bytes() const { return write_bytes_; }
 
@@ -38,26 +61,18 @@ class GMem {
 
   void reset() {
     hier_.reset();
-    analytic_bytes_ = sampled_bytes_ = read_bytes_ = write_bytes_ = 0;
-    sampling_ = true;
+    read_bytes_ = write_bytes_ = 0;
   }
 
  private:
   void access(std::uint64_t addr, std::uint64_t bytes, bool write) {
-    analytic_bytes_ += static_cast<double>(bytes);
     (write ? write_bytes_ : read_bytes_) += static_cast<double>(bytes);
-    if (sampling_) {
-      sampled_bytes_ += static_cast<double>(bytes);
-      hier_.access(addr, bytes, write);
-    }
+    hier_.access(addr, bytes, write);
   }
 
   hw::MemoryHierarchy hier_;
-  double analytic_bytes_ = 0;
-  double sampled_bytes_ = 0;
   double read_bytes_ = 0;
   double write_bytes_ = 0;
-  bool sampling_ = true;
 };
 
 /// Virtual address space of the modeled device allocation.
@@ -93,10 +108,8 @@ struct AddressMap {
 
 class Profiler {
  public:
-  Profiler(const FmmEvaluator& ev, const GpuProfileConfig& cfg)
-      : ev_(ev),
-        cfg_(cfg),
-        tree_(ev.tree()),
+  explicit Profiler(const FmmEvaluator& ev)
+      : tree_(ev.tree()),
         lists_(ev.lists()),
         ns_(ev.operators().n_surf()),
         g_(ev.operators().grid_size()),
@@ -180,9 +193,9 @@ class Profiler {
   void pair_block(Acc& acc, double nt, double nsrc) {
     const double evals = nt * nsrc;
     acc.sp += evals * (flops_per_eval_ + 2.0);
-    acc.ints += evals * (flops_per_eval_ + 2.0) * cfg_.int_per_flop;
+    acc.ints += evals * (flops_per_eval_ + 2.0) * kIntPerFlop;
     // x, y, z, density per source, shrunk by warp broadcast.
-    acc.sm_read_words += evals * 4.0 / cfg_.sm_broadcast_factor;
+    acc.sm_read_words += evals * 4.0 / kSmBroadcastFactor;
   }
 
   /// Stage `n` points (16 B each) from global memory into shared memory.
@@ -198,17 +211,15 @@ class Profiler {
     const double n2 = static_cast<double>(ns_) * static_cast<double>(ns_);
     gmem_.read(matrix, static_cast<std::uint64_t>((dp ? 8 : 4) * n2));
     (dp ? acc.dp : acc.sp) += 2.0 * n2;
-    acc.ints += 2.0 * n2 * cfg_.int_per_flop * 0.5;  // regular, unrolled
+    acc.ints += 2.0 * n2 * kIntPerFlop * 0.5;  // regular, unrolled
     acc.sm_read_words += n2;
   }
 
   GpuPhaseProfile phase_up() {
     gmem_.reset();
     Acc acc;
-    std::size_t item = 0;
     for (int l = tree_.max_depth(); l >= kMinLevel; --l) {
       for (const int b : tree_.nodes_by_level()[static_cast<std::size_t>(l)]) {
-        gmem_.begin_item(item++, 1);
         const Node& node = tree_.node(b);
         if (node.leaf) {
           stage_points(acc, node.point_begin, node.num_points());
@@ -228,15 +239,13 @@ class Profiler {
         gmem_.write(equiv_addr(b), 4 * ns_);
       }
     }
-    return finish("UP", acc, cfg_.util_up, cfg_.mem_util_default);
+    return finish("UP", acc, kUtilUp, kMemUtilDefault);
   }
 
   GpuPhaseProfile phase_u() {
     gmem_.reset();
     Acc acc;
-    std::size_t item = 0;
     for (const int b : tree_.leaves()) {
-      gmem_.begin_item(item++, 1);
       const Node& tgt = tree_.node(b);
       const double nt = tgt.num_points();
       // Target coordinates stream once per block; results written once.
@@ -249,7 +258,7 @@ class Profiler {
       gmem_.write(addr_.potentials + std::uint64_t{4} * tgt.point_begin,
                   std::uint64_t{4} * tgt.num_points());
     }
-    return finish("U", acc, cfg_.util_u, cfg_.mem_util_default);
+    return finish("U", acc, kUtilU, kMemUtilDefault);
   }
 
   GpuPhaseProfile phase_v() {
@@ -257,17 +266,15 @@ class Profiler {
     Acc acc;
     const double gd = static_cast<double>(g_);
     const double fft_flops = 5.0 * gd * std::log2(gd);
-    std::size_t item = 0;
 
     for (int l = kMinLevel; l <= tree_.max_depth(); ++l) {
       const auto& level_nodes =
           tree_.nodes_by_level()[static_cast<std::size_t>(l)];
       // Forward FFTs.
       for (const int b : level_nodes) {
-        gmem_.begin_item(item++, 1);
         gmem_.read(equiv_addr(b), 4 * ns_);
         acc.sp += fft_flops;
-        acc.ints += fft_flops * cfg_.int_per_flop * 0.5;
+        acc.ints += fft_flops * kIntPerFlop * 0.5;
         acc.sm_read_words += 4.0 * gd;  // in-shared butterflies
         acc.sm_write_words += 4.0 * gd;
         gmem_.write(spectrum_addr(b), 8 * g_);
@@ -293,9 +300,9 @@ class Profiler {
       };
 
       for (std::size_t g0 = 0; g0 < v_targets.size();
-           g0 += cfg_.concurrent_blocks) {
+           g0 += kConcurrentBlocks) {
         const std::size_t g1 =
-            std::min(g0 + cfg_.concurrent_blocks, v_targets.size());
+            std::min(g0 + kConcurrentBlocks, v_targets.size());
         // Direction-sorted per-target work queues.
         std::vector<std::vector<std::pair<std::size_t, int>>> queues;
         std::size_t max_len = 0;
@@ -311,36 +318,32 @@ class Profiler {
         for (std::size_t k = 0; k < max_len; ++k) {
           for (auto& queue : queues) {
             if (k >= queue.size()) continue;
-            gmem_.begin_item(item++, cfg_.v_sample_rate);
             gmem_.read(spectrum_addr(queue[k].second), 8 * g_);
             gmem_.read(tensor_addr(l, queue[k].first), 8 * g_);
             acc.sp += 8.0 * gd;  // complex multiply-accumulate per element
-            acc.ints += 8.0 * gd * cfg_.int_per_flop * 0.5;
+            acc.ints += 8.0 * gd * kIntPerFlop * 0.5;
             acc.sm_read_words += 2.0 * gd;
             acc.sm_write_words += 2.0 * gd;
           }
         }
       }
       for (const int b : v_targets) {
-        gmem_.begin_item(item++, 1);
         acc.sp += fft_flops;
-        acc.ints += fft_flops * cfg_.int_per_flop * 0.5;
+        acc.ints += fft_flops * kIntPerFlop * 0.5;
         acc.sm_read_words += 4.0 * gd;
         acc.sm_write_words += 4.0 * gd;
         gmem_.write(down_addr(b), 4 * ns_);
       }
     }
-    return finish("V", acc, cfg_.util_v, cfg_.mem_util_v);
+    return finish("V", acc, kUtilV, kMemUtilV);
   }
 
   GpuPhaseProfile phase_w() {
     gmem_.reset();
     Acc acc;
-    std::size_t item = 0;
     for (const int b : tree_.leaves()) {
       const auto& wlist = lists_.w[static_cast<std::size_t>(b)];
       if (wlist.empty()) continue;
-      gmem_.begin_item(item++, 1);
       const Node& tgt = tree_.node(b);
       gmem_.read(point_addr(tgt.point_begin), std::uint64_t{16} * tgt.num_points());
       for (const int a : wlist) {
@@ -353,17 +356,15 @@ class Profiler {
       gmem_.write(addr_.potentials + std::uint64_t{4} * tgt.point_begin,
                   std::uint64_t{4} * tgt.num_points());
     }
-    return finish("W", acc, cfg_.util_w, cfg_.mem_util_default);
+    return finish("W", acc, kUtilW, kMemUtilDefault);
   }
 
   GpuPhaseProfile phase_x() {
     gmem_.reset();
     Acc acc;
-    std::size_t item = 0;
     for (std::size_t b = 0; b < tree_.nodes().size(); ++b) {
       const auto& xlist = lists_.x[b];
       if (xlist.empty()) continue;
-      gmem_.begin_item(item++, 1);
       for (const int a : xlist) {
         const Node& src = tree_.node(a);
         stage_points(acc, src.point_begin, src.num_points());
@@ -372,16 +373,14 @@ class Profiler {
       }
       gmem_.write(down_addr(static_cast<int>(b)), 4 * ns_);
     }
-    return finish("X", acc, cfg_.util_x, cfg_.mem_util_default);
+    return finish("X", acc, kUtilX, kMemUtilDefault);
   }
 
   GpuPhaseProfile phase_down() {
     gmem_.reset();
     Acc acc;
-    std::size_t item = 0;
     for (int l = kMinLevel; l <= tree_.max_depth(); ++l) {
       for (const int b : tree_.nodes_by_level()[static_cast<std::size_t>(l)]) {
-        gmem_.begin_item(item++, 1);
         const Node& node = tree_.node(b);
         gmem_.read(down_addr(b), 4 * ns_);
         matvec(acc, matrix_addr(l, 1, true), true);  // DC2E solve (DP)
@@ -402,7 +401,7 @@ class Profiler {
         }
       }
     }
-    return finish("DOWN", acc, cfg_.util_down, cfg_.mem_util_default);
+    return finish("DOWN", acc, kUtilDown, kMemUtilDefault);
   }
 
   GpuPhaseProfile finish(const std::string& phase, const Acc& acc,
@@ -427,37 +426,34 @@ class Profiler {
     c.add("l1_shared_store_transactions",
           acc.sm_write_words * hw::kWordBytes / hw::kSharedTransactionBytes);
 
-    // Global-memory system events, scaled from the sampled cache simulation
-    // back to the phase's analytic byte totals.
-    const double scale = gmem_.scale();
+    // Global-memory system events from the cache simulation.
     const auto& h = gmem_.hierarchy();
     c.add("gld_request", gmem_.read_bytes() / 128.0);
     c.add("gst_request", gmem_.write_bytes() / 128.0);
     // Expressed in line-sized units so derive_op_counts' words-per-line
     // conversion recovers the exact words the L1 served.
-    c.add("l1_global_load_hit", scale * h.traffic().l1_words *
-                                    hw::kWordBytes / hw::kL1LineBytes);
+    c.add("l1_global_load_hit",
+          h.traffic().l1_words * hw::kWordBytes / hw::kL1LineBytes);
     c.add("l2_subp0_total_read_sector_queries",
-          scale * static_cast<double>(h.l2_read_sector_queries()));
+          static_cast<double>(h.l2_read_sector_queries()));
     c.add("l2_subp0_total_write_sector_queries",
-          scale * static_cast<double>(h.l2_write_sector_queries()));
+          static_cast<double>(h.l2_write_sector_queries()));
     const double l2_hit_sectors =
-        scale * (static_cast<double>(h.l2_read_sector_queries() +
-                                     h.l2_write_sector_queries()) -
-                 static_cast<double>(h.dram_read_sectors() +
-                                     h.dram_write_sectors()));
+        static_cast<double>(h.l2_read_sector_queries() +
+                            h.l2_write_sector_queries()) -
+        static_cast<double>(h.dram_read_sectors() + h.dram_write_sectors());
     for (const char* name :
          {"l2_subp0_read_l1_hit_sectors", "l2_subp1_read_l1_hit_sectors",
           "l2_subp2_read_l1_hit_sectors", "l2_subp3_read_l1_hit_sectors"})
       c.add(name, l2_hit_sectors / 4.0);
     c.add("fb_subp0_read_sectors",
-          scale * static_cast<double>(h.dram_read_sectors()) / 2.0);
+          static_cast<double>(h.dram_read_sectors()) / 2.0);
     c.add("fb_subp1_read_sectors",
-          scale * static_cast<double>(h.dram_read_sectors()) / 2.0);
+          static_cast<double>(h.dram_read_sectors()) / 2.0);
     c.add("fb_subp0_write_sectors",
-          scale * static_cast<double>(h.dram_write_sectors()) / 2.0);
+          static_cast<double>(h.dram_write_sectors()) / 2.0);
     c.add("fb_subp1_write_sectors",
-          scale * static_cast<double>(h.dram_write_sectors()) / 2.0);
+          static_cast<double>(h.dram_write_sectors()) / 2.0);
 
     std::ostringstream name;
     name << "fmm_N" << tree_.points().size() << "_Q"
@@ -469,8 +465,6 @@ class Profiler {
     return out;
   }
 
-  const FmmEvaluator& ev_;
-  GpuProfileConfig cfg_;
   const Octree& tree_;
   const InteractionLists& lists_;
   std::size_t ns_;
@@ -481,6 +475,13 @@ class Profiler {
 };
 
 }  // namespace
+
+std::vector<hw::Workload> FmmGpuProfile::workloads() const {
+  std::vector<hw::Workload> out;
+  out.reserve(phases.size());
+  for (const auto& p : phases) out.push_back(p.workload);
+  return out;
+}
 
 hw::Workload FmmGpuProfile::total(const std::string& name) const {
   hw::Workload w;
@@ -506,11 +507,8 @@ hw::CounterSet FmmGpuProfile::total_counters() const {
   return c;
 }
 
-FmmGpuProfile profile_gpu_execution(const FmmEvaluator& ev,
-                                    const GpuProfileConfig& cfg) {
-  EROOF_REQUIRE(cfg.int_per_flop >= 0);
-  EROOF_REQUIRE(cfg.v_sample_rate >= 1);
-  return Profiler(ev, cfg).run();
+FmmGpuProfile profile_gpu_execution(const FmmEvaluator& ev) {
+  return Profiler(ev).run();
 }
 
 }  // namespace eroof::fmm

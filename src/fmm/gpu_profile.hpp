@@ -34,45 +34,6 @@
 
 namespace eroof::fmm {
 
-/// Knobs of the modeled CUDA implementation.
-struct GpuProfileConfig {
-  /// Integer (address/loop/predicate) instructions per SP flop in the
-  /// pairwise inner loops. Real GPU kernels spend most of their
-  /// instruction stream here (paper Fig. 4: ~60% integer).
-  double int_per_flop = 1.5;
-
-  /// Compute utilization per phase: fraction of peak issue rate achieved.
-  double util_up = 0.15;
-  double util_u = 0.22;   ///< the paper's ~1/4-of-peak U-list kernel
-  double util_v = 0.30;
-  double util_w = 0.15;
-  double util_x = 0.15;
-  double util_down = 0.15;
-
-  /// Achieved fraction of peak DRAM bandwidth in the streaming (V) phase
-  /// and elsewhere.
-  double mem_util_v = 0.50;
-  double mem_util_default = 0.45;
-
-  /// Shared-memory broadcast efficiency of the pairwise loops: warps read
-  /// a staged source value once per warp (hardware broadcast), not once per
-  /// thread, so SM transactions per interaction shrink by roughly this
-  /// factor relative to the naive per-thread count.
-  double sm_broadcast_factor = 8.0;
-
-  /// Feed every k-th V-list pair through the cache simulator and scale.
-  /// 1 (default) simulates every access -- sampling perturbs the apparent
-  /// reuse distance, so only raise this for quick interactive runs.
-  std::size_t v_sample_rate = 1;
-
-  /// Thread blocks resident per SMX. The V phase's global reads interleave
-  /// across this many concurrently executing target boxes; Morton-adjacent
-  /// targets share most of their V-list sources, so the interleaved stream
-  /// is what gives the L2 its hit traffic (the paper's Fig. 6 shows L2
-  /// serving 30-40% of data-access energy).
-  std::size_t concurrent_blocks = 16;
-};
-
 /// One phase's modeled execution.
 struct GpuPhaseProfile {
   std::string name;              ///< UP, U, V, W, X, DOWN
@@ -84,6 +45,10 @@ struct GpuPhaseProfile {
 struct FmmGpuProfile {
   std::vector<GpuPhaseProfile> phases;
 
+  /// The phases' workloads in phase order: the chain the DVFS scheduler
+  /// prices.
+  std::vector<hw::Workload> workloads() const;
+
   /// Sum of all phases as a single workload named `name`.
   hw::Workload total(const std::string& name) const;
 
@@ -92,7 +57,6 @@ struct FmmGpuProfile {
 };
 
 /// Models the CUDA execution of `ev`'s six phases.
-FmmGpuProfile profile_gpu_execution(const FmmEvaluator& ev,
-                                    const GpuProfileConfig& cfg = {});
+FmmGpuProfile profile_gpu_execution(const FmmEvaluator& ev);
 
 }  // namespace eroof::fmm

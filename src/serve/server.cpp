@@ -9,7 +9,6 @@
 
 #include "fmm/gpu_profile.hpp"
 #include "trace/trace.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 
 namespace eroof::serve {
@@ -48,21 +47,6 @@ std::string validate_request(const FmmRequest& req) {
     if (!std::isfinite(req.densities[i]))
       return "density " + std::to_string(i) + " is not finite";
   return {};
-}
-
-std::shared_ptr<const ScheduleContext> ScheduleContext::tegra_default(
-    std::uint64_t campaign_seed) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const util::RngStream root(campaign_seed);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  return std::make_shared<const ScheduleContext>(
-      ScheduleContext{soc, model::fit_energy_model(train).model,
-                      hw::full_grid(), hw::DvfsTransitionModel{100e-6, 50e-6}});
 }
 
 FmmServer::FmmServer(ServerConfig cfg)
@@ -227,10 +211,7 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
         key + "|n=" + std::to_string(req.points.size());
     const model::PhaseSchedule& sched =
         schedule_memo_.schedule_for_plan(skey, [&] {
-          const auto prof = fmm::profile_gpu_execution(ev);
-          std::vector<hw::Workload> phases;
-          phases.reserve(prof.phases.size());
-          for (const auto& ph : prof.phases) phases.push_back(ph.workload);
+          const auto phases = fmm::profile_gpu_execution(ev).workloads();
           const auto pred =
               model::predict_phase_grid(ctx.model, ctx.soc, phases, ctx.grid);
           return model::schedule_phases(pred, ctx.transitions);

@@ -6,10 +6,11 @@
 // request's plan. The headline mechanism is the plan cache: requests that
 // resolve to the same (kernel, accuracy, depth) key share one FmmPlan --
 // per-level operators and the M2L bank -- so a cache hit skips operator
-// construction. The
-// schedule-DP result is memoized separately per (plan key, point count):
-// the first request with that shape profiles its phase workloads and runs
-// the DP once; every repeat of the shape skips the search.
+// construction. The schedule-DP result is memoized separately per (plan
+// key, point count): the first request with that shape profiles its phase
+// workloads and runs the DP once, priced with the shared model::TuneContext
+// the dynamics engine and the closed loop use too; every repeat of the
+// shape skips the search.
 //
 // Serving contract: each response's potentials are bitwise identical to a
 // fresh single-threaded FmmEvaluator run on the same request, independent
@@ -27,32 +28,19 @@
 #include <thread>
 #include <vector>
 
-#include "core/fit.hpp"
 #include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
-#include "hw/dvfs.hpp"
-#include "hw/soc.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 
 namespace eroof::serve {
 
-/// Everything the schedule search needs, fitted once and shared read-only by
-/// every worker: the SoC model, the energy model fitted from the paper
-/// campaign's training half, the DVFS setting grid, and the transition-cost
-/// model. Optional -- a server without one skips schedules (pure solving).
-struct ScheduleContext {
-  hw::Soc soc;
-  model::EnergyModel model;
-  std::vector<hw::DvfsSetting> grid;
-  hw::DvfsTransitionModel transitions;
-
-  /// The default context: Tegra K1 SoC, model fitted from the seeded paper
-  /// campaign, full clock grid, realistic 100us/50uJ transitions.
-  static std::shared_ptr<const ScheduleContext> tegra_default(
-      std::uint64_t campaign_seed = 42);
-};
+/// The shared tuning context (model::TuneContext): SoC, fitted energy
+/// model, DVFS grid and transition costs, fitted once and read by every
+/// worker. Optional -- a server without one skips schedules (pure solving).
+/// The name is kept only because the frozen end-to-end benchmark spells it.
+using ScheduleContext = model::TuneContext;
 
 struct ServerConfig {
   int workers = 1;

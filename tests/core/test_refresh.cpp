@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #ifdef _OPENMP
@@ -23,10 +24,11 @@
 
 #include "core/fit.hpp"
 #include "core/schedule.hpp"
+#include "fmm/evaluator.hpp"
+#include "fmm/gpu_profile.hpp"
+#include "fmm/pointgen.hpp"
 #include "hw/dvfs.hpp"
-#include "hw/powermon.hpp"
 #include "hw/soc.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -59,26 +61,17 @@ auto with_threads(int num_threads, Fn&& fn) {
   return out;
 }
 
-// Shared across tests: the seeded paper campaign's training half and the
-// model fitted from it (the closed loop's "PR 5" seed state).
-const std::vector<FitSample>& campaign_train() {
-  static const std::vector<FitSample> train = [] {
-    const auto soc = hw::Soc::tegra_k1();
-    const hw::PowerMon pm;
-    const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
-    std::vector<FitSample> out;
-    for (const auto& s : campaign)
-      if (s.role == hw::SettingRole::kTrain)
-        out.push_back(to_fit_sample(s.meas));
-    return out;
-  }();
-  return train;
+// Shared across tests: the default tuning context -- the seeded paper
+// campaign's training half and the model fitted from it (the closed loop's
+// seed state).
+const std::shared_ptr<const TuneContext>& context() {
+  static const auto ctx = TuneContext::tegra_default();
+  return ctx;
 }
 
-const EnergyModel& seed_model() {
-  static const EnergyModel m = fit_energy_model(campaign_train()).model;
-  return m;
-}
+const std::vector<FitSample>& campaign_train() { return context()->campaign; }
+
+const EnergyModel& seed_model() { return context()->model; }
 
 // Leakage-only samples (zero op counts): energy = pi_0(setting) * time,
 // with pi_0 built from the given slope triple. Several distinct voltage
@@ -306,30 +299,26 @@ struct LoopOutcome {
 };
 
 LoopOutcome run_thermal_ramp(int steps) {
-  const auto soc = hw::Soc::tegra_k1();
-  const auto grid = hw::full_grid();
+  const auto& ctx = *context();
   const auto phases = loop_phases();
-  const hw::DvfsTransitionModel tm{100e-6, 50e-6};
+  const hw::DvfsTransitionModel& tm = ctx.transitions;
   const hw::ThermalRamp ramp{
       1.0, 5.0, 4, static_cast<std::uint64_t>(steps / 2), 0.0, 7};
 
-  ClosedLoopConfig cfg;
-  cfg.online.min_observations = 8;
-  cfg.online.cooldown = 8;
-  ClosedLoopScheduler loop(seed_model(), soc, grid, tm, phases, cfg);
-  loop.seed_anchor(campaign_train());
+  OnlineRefreshConfig cfg;
+  cfg.min_observations = 8;
+  cfg.cooldown = 8;
+  ClosedLoopScheduler loop(context(), phases, cfg);
   // The frozen baseline: the loop's step-0 schedule, never revisited.
-  const std::vector<hw::DvfsSetting> static_settings(loop.settings().begin(),
-                                                     loop.settings().end());
   const PhaseSchedule static_sched = loop.schedule();
 
   const util::RngStream noise(2024);
   LoopOutcome out;
   for (int k = 0; k < steps; ++k) {
     const double scale = ramp.scale_at(static_cast<std::uint64_t>(k));
-    const hw::Soc hot = soc.with_leakage_scale(scale);
+    const hw::Soc hot = ctx.soc.with_leakage_scale(scale);
     // Ground-truth scores of all three controllers at this thermal state.
-    const PhaseGridPrediction truth = oracle_phase_grid(hot, phases, grid);
+    const PhaseGridPrediction truth = oracle_phase_grid(hot, phases, ctx.grid);
     out.static_true_j +=
         true_schedule_cost(hot, phases, truth, static_sched, tm).energy_j;
     out.refreshed_true_j +=
@@ -375,6 +364,72 @@ TEST(ClosedLoop, BitwiseDeterministicAcrossThreadCounts) {
     EXPECT_TRUE(models_bit_equal(other.final_model, base.final_model))
         << "refitted model diverged at " << threads << " threads";
   }
+}
+
+// The KIFMM chain of bench/ext_thermal_refresh's "hold" section (n=16384,
+// q=64, p=4 on the uniform tree): every phase's optimum sits on a grid
+// corner, so on the 1 -> 4x ramp every refit keeps the installed picks.
+std::vector<hw::Workload> hold_phases() {
+  static const fmm::LaplaceKernel kernel;
+  util::Rng rng(1000 + 16384 + 64);
+  const auto pts = fmm::uniform_cube(16384, rng);
+  const fmm::FmmEvaluator ev(
+      kernel, pts,
+      {.max_points_per_box = 64,
+       .uniform_depth = fmm::Octree::uniform_depth_for(16384, 64)},
+      fmm::FmmConfig{.p = 4});
+  return fmm::profile_gpu_execution(ev).workloads();
+}
+
+TEST(ClosedLoop, HeldRefitRepricesTheInstalledSchedule) {
+  const auto& ctx = *context();
+  const auto phases = hold_phases();
+  OnlineRefreshConfig cfg;
+  cfg.min_observations = 32;
+  cfg.cooldown = 16;
+  ClosedLoopScheduler loop(context(), phases, cfg);
+  const std::vector<std::size_t> first = loop.schedule().pick;
+  const hw::ThermalRamp ramp{1.0, 4.0, 4, 32, 0.0, 7};
+  const util::RngStream noise(2024);
+  int refits = 0;
+  for (int k = 0; k < 64; ++k) {
+    const auto rep = loop.step(ramp.scale_at(static_cast<std::uint64_t>(k)),
+                               noise.fork(k));
+    if (!rep.refreshed) continue;
+    ++refits;
+    // The dead-band held the picks...
+    EXPECT_EQ(loop.schedule().pick, first) << "step " << k;
+    // ...and the installed schedule's predictions are the refitted model's,
+    // not the ones it was first installed with.
+    const PhaseSchedule want = price_schedule(
+        predict_phase_grid(loop.model(), ctx.soc, phases, ctx.grid),
+        ctx.transitions, first);
+    EXPECT_TRUE(bit_equal(loop.schedule().pred_energy_j, want.pred_energy_j))
+        << "step " << k;
+    EXPECT_TRUE(bit_equal(loop.schedule().pred_time_s, want.pred_time_s))
+        << "step " << k;
+  }
+  EXPECT_EQ(refits, 18);
+}
+
+TEST(ClosedLoop, RetargetInstallsTheNewChainWithoutTheDeadband) {
+  const auto& ctx = *context();
+  ClosedLoopScheduler loop(context(), loop_phases());
+  // Swap in a different chain: the installed schedule must be exactly the
+  // chain DP for it under the (unrefitted) seed model.
+  auto phases = loop_phases();
+  phases.pop_back();
+  loop.retarget(phases);
+  const PhaseSchedule want = schedule_phases(
+      predict_phase_grid(seed_model(), ctx.soc, phases, ctx.grid),
+      ctx.transitions);
+  EXPECT_EQ(loop.schedule().pick, want.pick);
+  EXPECT_TRUE(bit_equal(loop.schedule().pred_energy_j, want.pred_energy_j));
+  ASSERT_EQ(loop.settings().size(), phases.size());
+  for (std::size_t p = 0; p < phases.size(); ++p)
+    EXPECT_EQ(loop.settings()[p].label(), ctx.grid[want.pick[p]].label());
+  EXPECT_EQ(loop.phases().size(), phases.size());
+  EXPECT_THROW(loop.retarget({}), util::ContractError);
 }
 
 }  // namespace

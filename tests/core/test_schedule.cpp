@@ -96,10 +96,7 @@ std::vector<hw::Workload> kifmm_phases(std::size_t n, std::uint32_t q) {
       {.max_points_per_box = q,
        .uniform_depth = fmm::Octree::uniform_depth_for(n, q)},
       fmm::FmmConfig{.p = 4});
-  const auto prof = fmm::profile_gpu_execution(ev);
-  std::vector<hw::Workload> phases;
-  for (const auto& ph : prof.phases) phases.push_back(ph.workload);
-  return phases;
+  return fmm::profile_gpu_execution(ev).workloads();
 }
 
 // The scheduler's chain objective, recomputed from first principles via the
@@ -219,6 +216,44 @@ TEST(Schedule, DpMatchesExhaustiveSearchOnReducedGrid) {
     EXPECT_NEAR(sched.pred_energy_j + lambda * sched.pred_time_s, dp_cost,
                 1e-12 * std::abs(dp_cost));
   }
+}
+
+TEST(Schedule, PriceScheduleRepricesAnyAssignment) {
+  const auto soc = hw::Soc::tegra_k1();
+  const std::vector<hw::DvfsSetting> reduced = {
+      hw::setting(72, 68), hw::setting(396, 924), hw::setting(852, 924)};
+  const auto pred = predict_phase_grid(fitted_model(), soc,
+                                       synthetic_phases(), reduced);
+  const hw::DvfsTransitionModel tm{150e-6, 2e-4};
+  // The DP's own pick re-prices to exactly the schedule it reported.
+  const auto sched = schedule_phases(pred, tm);
+  const auto same = price_schedule(pred, tm, sched.pick);
+  EXPECT_EQ(same.pick, sched.pick);
+  EXPECT_TRUE(bit_equal(same.pred_energy_j, sched.pred_energy_j));
+  EXPECT_TRUE(bit_equal(same.pred_time_s, sched.pred_time_s));
+  EXPECT_EQ(same.switches, sched.switches);
+  // Any other assignment is priced as the chain objective at time_weight 0,
+  // with the stalls added to its time and one switch per changed domain.
+  const std::vector<std::size_t> pick = {0, 2, 1};
+  const auto priced = price_schedule(pred, tm, pick);
+  const double cost = assignment_cost(pred, tm, pick, 0.0);
+  EXPECT_NEAR(priced.pred_energy_j, cost, 1e-12 * cost);
+  double time = 0;
+  int switches = 0;
+  for (std::size_t p = 0; p < pick.size(); ++p) {
+    time += pred.time_at(p, pick[p]);
+    if (p == 0) continue;
+    time += tm.stall_s(reduced[pick[p - 1]], reduced[pick[p]]);
+    switches += tm.changed_domains(reduced[pick[p - 1]], reduced[pick[p]]);
+  }
+  EXPECT_NEAR(priced.pred_time_s, time, 1e-12 * time);
+  EXPECT_EQ(priced.switches, switches);
+  EXPECT_GT(priced.switches, 0);
+  // Wrong length or an out-of-grid index is a contract violation.
+  EXPECT_THROW(price_schedule(pred, tm, std::vector<std::size_t>{0, 1}),
+               util::ContractError);
+  EXPECT_THROW(price_schedule(pred, tm, std::vector<std::size_t>{0, 1, 3}),
+               util::ContractError);
 }
 
 TEST(Schedule, BitwiseIdenticalAcrossThreadCounts) {

@@ -102,12 +102,13 @@ TEST(DynamicsEngine, AmortizedTuningSearchesOnceInTheSteadyState) {
 TEST(DynamicsEngine, RetunesWhenTheTreeStructureShifts) {
   auto cfg = untuned_config();
   cfg.tuning.context = TuneContext::tegra_default();
-  cfg.tuning.retune_bound = 0.05;
   DynamicsEngine engine(laplace(), ParticleSystem::random(800, kDomain, 46),
                         cfg);
-  // Heavy noise churns leaf occupancy (rebuilds + changed interaction
-  // lists), which moves the per-phase structural work past any tight bound.
-  LangevinMover mover(47, {.dt = 0.1, .gamma = 0.1, .sigma = 1.0});
+  // A strong pull toward the center collapses the ensemble step by step:
+  // the adaptive tree deepens around it (rebuilds + changed interaction
+  // lists), which moves the per-phase structural work past the engine's
+  // kRetuneBound.
+  LangevinMover mover(47, {.dt = 0.1, .gamma = 5.0, .sigma = 0.01});
   for (int s = 0; s < 6; ++s) engine.step(mover);
   EXPECT_GT(engine.stats().tunes, 1u);
   EXPECT_LE(engine.stats().tunes, engine.stats().steps);
