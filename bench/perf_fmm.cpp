@@ -6,9 +6,11 @@
 //   * --bench-json[=path]: a benchmark-trajectory harness that times
 //     repeated evaluate() calls (with a tracing session capturing per-phase
 //     span times), reduces them to median/p10/p90, and writes one
-//     machine-readable JSON file (default BENCH_fmm.json). CI runs this on
-//     every build so evaluate()-time regressions show up as a data point,
-//     not an anecdote.
+//     machine-readable JSON file (default BENCH_fmm.json). The same file
+//     carries the two cold steps a plan pays before its first evaluate --
+//     the operator build (`plan_build`) and the modelled GPU profile
+//     (`gpu_profile`) -- per thread count. CI runs this on every build so
+//     regressions show up as a data point, not an anecdote.
 #include <benchmark/benchmark.h>
 
 #ifdef _OPENMP
@@ -16,6 +18,7 @@
 #endif
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,6 +28,8 @@
 #include "bench/common.hpp"
 #include "fmm/direct.hpp"
 #include "fmm/evaluator.hpp"
+#include "fmm/gpu_profile.hpp"
+#include "fmm/plan.hpp"
 #include "fmm/pointgen.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -97,7 +102,23 @@ struct Run {
   int threads = 0;
   Summary wall;
   std::vector<std::pair<std::string, Summary>> phases;
+  Summary plan_build;
+  Summary gpu_profile;
 };
+
+/// Wall time of `reps` calls of `fn`, in ms.
+template <typename Fn>
+std::vector<double> time_reps(int reps, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    fn();
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  }
+  return ms;
+}
 
 Run measure(fmm::FmmEvaluator& ev, std::span<const double> dens, int threads,
             int reps) {
@@ -128,6 +149,15 @@ Run measure(fmm::FmmEvaluator& ev, std::span<const double> dens, int threads,
   run.wall = summarize(wall_ms);
   for (std::size_t p = 0; p < std::size(kPhases); ++p)
     run.phases.emplace_back(kPhases[p], summarize(phase_ms[p]));
+  run.plan_build = summarize(time_reps(reps, [&] {
+    auto plan = fmm::FmmPlan::for_tree(fmm::FmmPlan::borrow_kernel(ev.kernel()),
+                                       ev.tree(), ev.operators().config());
+    benchmark::DoNotOptimize(plan.get());
+  }));
+  run.gpu_profile = summarize(time_reps(reps, [&] {
+    auto prof = fmm::profile_gpu_execution(ev);
+    benchmark::DoNotOptimize(prof.phases.data());
+  }));
   return run;
 }
 
@@ -172,6 +202,10 @@ int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
     out << "    {\n      \"threads\": " << run.threads
         << ",\n      \"evaluate\": ";
     write_summary(out, run.wall);
+    out << ",\n      \"plan_build\": ";
+    write_summary(out, run.plan_build);
+    out << ",\n      \"gpu_profile\": ";
+    write_summary(out, run.gpu_profile);
     out << ",\n      \"phases\": {\n";
     for (std::size_t ph = 0; ph < run.phases.size(); ++ph) {
       out << "        \"" << run.phases[ph].first << "\": ";

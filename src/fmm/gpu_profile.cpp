@@ -43,10 +43,19 @@ constexpr double kSmBroadcastFactor = 8.0;
 /// 30-40% of data-access energy).
 constexpr std::size_t kConcurrentBlocks = 16;
 
-/// Global-memory front end: tracks the phase's byte totals while feeding
-/// every access to the cache hierarchy.
+/// Accesses a GMem logs before replaying them through the cache hierarchy.
+/// The bound keeps the log's footprint fixed (96 KiB) however long a phase
+/// runs, while each chunk still carries enough lines to split across
+/// threads.
+constexpr std::size_t kLogChunk = 4096;
+
+/// Global-memory front end: tracks the phase's byte totals and logs every
+/// access, replaying the log through the cache hierarchy (on the caller's
+/// OpenMP threads) a chunk at a time.
 class GMem {
  public:
+  GMem() { log_.reserve(kLogChunk); }
+
   void read(std::uint64_t addr, std::uint64_t bytes) {
     access(addr, bytes, false);
   }
@@ -57,9 +66,14 @@ class GMem {
   double read_bytes() const { return read_bytes_; }
   double write_bytes() const { return write_bytes_; }
 
-  const hw::MemoryHierarchy& hierarchy() const { return hier_; }
+  /// The hierarchy after every access so far has been replayed.
+  const hw::MemoryHierarchy& hierarchy() {
+    flush();
+    return hier_;
+  }
 
   void reset() {
+    log_.clear();
     hier_.reset();
     read_bytes_ = write_bytes_ = 0;
   }
@@ -67,9 +81,16 @@ class GMem {
  private:
   void access(std::uint64_t addr, std::uint64_t bytes, bool write) {
     (write ? write_bytes_ : read_bytes_) += static_cast<double>(bytes);
-    hier_.access(addr, bytes, write);
+    log_.push_back(hw::Access{addr, bytes, write});
+    if (log_.size() == kLogChunk) flush();
   }
 
+  void flush() {
+    hier_.replay(log_);
+    log_.clear();
+  }
+
+  std::vector<hw::Access> log_;
   hw::MemoryHierarchy hier_;
   double read_bytes_ = 0;
   double write_bytes_ = 0;

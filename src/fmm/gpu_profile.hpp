@@ -10,7 +10,8 @@
 //     standard GPU mapping of [9]),
 //   * memory-system counter events, by replaying the blocks' global-memory
 //     access streams through the cache-hierarchy simulator
-//     (hw::MemoryHierarchy) over a virtual address space, and
+//     (hw::MemoryHierarchy) over a virtual address space -- in chunks, on
+//     the caller's OpenMP threads, bitwise equal to a serial replay -- and
 //   * the phase's utilization factors for the SoC timing model; the paper
 //     measures the FMM at < 1/4 of peak IPC (Section IV-C), with the U-list
 //     kernel's achievable peak itself about 1/4 of machine peak.

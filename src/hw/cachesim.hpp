@@ -5,12 +5,40 @@
 // addresses) through an L1 + L2 hierarchy; the words served at each level
 // become the l1/l2/fb_* counter events of Table III. Sector-granular
 // (32 B) like the modeled hardware, LRU replacement, write-allocate.
+//
+// A logged access stream can be replayed on the caller's OpenMP threads,
+// split by the address bits the L1 and L2 set indices share: no two
+// partitions touch a common set, so each set sees exactly its serial
+// access sequence and every tally is bitwise the serial one (DESIGN.md §7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <span>
 #include <vector>
 
 namespace eroof::hw {
+
+/// Allocates on 64-byte host cache-line boundaries, so sets replayed by
+/// different threads never share a host cache line.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  explicit CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*n*/) { ::operator delete(p, kAlign); }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
+    return true;
+  }
+};
 
 /// Geometry of one cache level.
 struct CacheConfig {
@@ -28,6 +56,15 @@ class Cache {
   /// Returns true on hit.
   bool access(std::uint64_t addr);
 
+  /// access() without the hit/miss statistics. It touches only the set
+  /// `addr` maps to (recency is the order of the set's own tags), so
+  /// concurrent lookups of addresses in distinct sets do not race.
+  bool lookup(std::uint64_t addr);
+
+  /// Address bits [set_shift(), set_shift() + set_bits()) select the set.
+  unsigned set_shift() const { return line_shift_; }
+  unsigned set_bits() const { return set_bits_; }
+
   /// Invalidates all lines and zeroes statistics.
   void reset();
 
@@ -36,17 +73,18 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-touch stamp
-    bool valid = false;
-  };
+  /// Marks an unfilled way. No real tag reaches it: the constructor
+  /// requires line_bytes * num_sets >= 2, so tags have at most 63 bits.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
   CacheConfig cfg_;
   std::uint64_t num_sets_;
-  std::uint64_t line_shift_;
-  std::vector<Way> ways_;  // num_sets * associativity, set-major
-  std::uint64_t clock_ = 0;
+  unsigned line_shift_;
+  unsigned set_bits_;
+  std::size_t stride_;  ///< tag slots per set: ways rounded up to 64 B
+  /// Per set, its tags from most to least recently used (kEmpty last).
+  /// LRU order per set picks the same victims a global access clock would.
+  std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
@@ -65,6 +103,13 @@ struct LevelTraffic {
   }
 };
 
+/// One global-memory access of a logged stream.
+struct Access {
+  std::uint64_t addr = 0;
+  std::uint64_t bytes = 0;
+  bool write = false;
+};
+
 /// Two-level hierarchy (L1 -> L2 -> DRAM) over a flat virtual address space.
 ///
 /// Defaults follow the Tegra K1 GPU: 16 KiB L1 with 128 B lines, 128 KiB L2
@@ -79,27 +124,66 @@ class MemoryHierarchy {
   /// Simulates a read or write of `bytes` bytes at virtual address `addr`.
   void access(std::uint64_t addr, std::uint64_t bytes, bool write);
 
+  /// Simulates `log` in order, exactly as one access() per entry would.
+  /// The L1 lines are split into partitions() classes by the shared
+  /// set-index bits, and the caller's OpenMP threads each replay a
+  /// contiguous range of classes, jumping straight to their own lines.
+  /// With one thread (or one partition) this is the serial loop.
+  void replay(std::span<const Access> log);
+
+  /// Number of disjoint set partitions replay() can use: 2^(number of
+  /// address bits in both set indices); 1 if the indices share none.
+  std::uint64_t partitions() const { return std::uint64_t{1} << key_bits_; }
+
   /// Traffic tallied since construction / last reset.
-  const LevelTraffic& traffic() const { return traffic_; }
+  LevelTraffic traffic() const;
 
   /// Sector-level counts (for emitting Table III events).
-  std::uint64_t l1_hit_lines() const { return l1_hit_lines_; }
-  std::uint64_t l2_read_sector_queries() const { return l2_queries_read_; }
-  std::uint64_t l2_write_sector_queries() const { return l2_queries_write_; }
-  std::uint64_t dram_read_sectors() const { return dram_read_sectors_; }
-  std::uint64_t dram_write_sectors() const { return dram_write_sectors_; }
+  std::uint64_t l1_hit_lines() const { return tally_.l1_hit_lines; }
+  std::uint64_t l2_read_sector_queries() const { return tally_.l2_read; }
+  std::uint64_t l2_write_sector_queries() const { return tally_.l2_write; }
+  std::uint64_t dram_read_sectors() const { return tally_.dram_read; }
+  std::uint64_t dram_write_sectors() const { return tally_.dram_write; }
 
   void reset();
 
  private:
+  /// Integer event counts. Traffic words are 8 per sector, so the double
+  /// totals derive exactly from these and per-thread partial tallies add
+  /// up to the serial ones bit for bit.
+  struct Tally {
+    std::uint64_t l1_hit_lines = 0;
+    std::uint64_t l1_hit_sectors = 0;
+    std::uint64_t l2_read = 0;
+    std::uint64_t l2_write = 0;
+    std::uint64_t dram_read = 0;
+    std::uint64_t dram_write = 0;
+
+    Tally& operator+=(const Tally& o);
+  };
+
+  /// L1 lines of one partition key come in runs of run_lines() consecutive
+  /// lines, one run per run_lines() * partitions() lines (the key period).
+  std::uint64_t run_lines() const {
+    return std::uint64_t{1} << (key_shift_ - l1_line_shift_);
+  }
+
+  /// Replays the lines of `log` whose offset within their key period lies
+  /// in [lo_off, hi_off), in log order, and returns their counts. A
+  /// contiguous key range [k0, k1) is the window [k0, k1) * run_lines().
+  Tally replay_window(std::span<const Access> log, std::uint64_t lo_off,
+                      std::uint64_t hi_off);
+
+  /// The part of access(addr, bytes, write) that falls in L1 line `line`.
+  void touch_line(Tally& t, std::uint64_t line, std::uint64_t addr,
+                  std::uint64_t bytes, bool write);
+
   Cache l1_;
   Cache l2_;
-  LevelTraffic traffic_;
-  std::uint64_t l1_hit_lines_ = 0;
-  std::uint64_t l2_queries_read_ = 0;
-  std::uint64_t l2_queries_write_ = 0;
-  std::uint64_t dram_read_sectors_ = 0;
-  std::uint64_t dram_write_sectors_ = 0;
+  Tally tally_;
+  unsigned l1_line_shift_;
+  unsigned key_shift_;  ///< lowest address bit of the partition key
+  unsigned key_bits_;   ///< partition key width (0: one partition)
 };
 
 }  // namespace eroof::hw

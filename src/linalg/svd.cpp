@@ -10,14 +10,34 @@
 namespace eroof::la {
 namespace {
 
+/// Plane rotation of two length-`len` columns: (x, y) <- (c x - s y, s x + c y).
+void rotate(double* x, double* y, std::size_t len, double c, double s) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
 // One-sided Jacobi on a tall (m >= n) matrix: orthogonalizes columns of a
 // working copy W by plane rotations accumulated into V; on convergence the
 // column norms of W are the singular values and W's normalized columns are U.
+//
+// W and V are held column-contiguous (column j of W is w[j*m, (j+1)*m)), so
+// every dot product and rotation streams two unit-stride spans. The scalar
+// loops visit i in ascending order exactly as a row-major sweep would, so
+// the factors are bitwise those of the textbook formulation.
 Svd svd_tall(const Matrix& a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  Matrix w = a;
-  Matrix v = Matrix::identity(n);
+  std::vector<double> w(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto row = a.row(i);
+    for (std::size_t j = 0; j < n; ++j) w[j * m + i] = row[j];
+  }
+  std::vector<double> v(n * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) v[j * n + j] = 1.0;
 
   const double eps = std::numeric_limits<double>::epsilon();
   const double tol = 1e-14;
@@ -26,14 +46,17 @@ Svd svd_tall(const Matrix& a) {
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p + 1 < n; ++p) {
+      double* wp = w.data() + p * m;
+      double* vp = v.data() + p * n;
       for (std::size_t q = p + 1; q < n; ++q) {
+        double* wq = w.data() + q * m;
         double alpha = 0;
         double beta = 0;
         double gamma = 0;
         for (std::size_t i = 0; i < m; ++i) {
-          alpha += w(i, p) * w(i, p);
-          beta += w(i, q) * w(i, q);
-          gamma += w(i, p) * w(i, q);
+          alpha += wp[i] * wp[i];
+          beta += wq[i] * wq[i];
+          gamma += wp[i] * wq[i];
         }
         if (alpha * beta == 0.0) continue;
         off = std::max(off, std::abs(gamma) / std::sqrt(alpha * beta));
@@ -45,18 +68,8 @@ Svd svd_tall(const Matrix& a) {
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double wp = w(i, p);
-          const double wq = w(i, q);
-          w(i, p) = c * wp - s * wq;
-          w(i, q) = s * wp + c * wq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const double vp = v(i, p);
-          const double vq = v(i, q);
-          v(i, p) = c * vp - s * vq;
-          v(i, q) = s * vp + c * vq;
-        }
+        rotate(wp, wq, m, c, s);
+        rotate(vp, v.data() + q * n, n, c, s);
       }
     }
     if (off < 10 * eps) break;
@@ -65,8 +78,9 @@ Svd svd_tall(const Matrix& a) {
   // Extract singular values (column norms) and normalize U's columns.
   std::vector<double> s(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
+    const double* wj = w.data() + j * m;
     double norm = 0;
-    for (std::size_t i = 0; i < m; ++i) norm += w(i, j) * w(i, j);
+    for (std::size_t i = 0; i < m; ++i) norm += wj[i] * wj[i];
     s[j] = std::sqrt(norm);
   }
 
@@ -84,8 +98,8 @@ Svd svd_tall(const Matrix& a) {
     const std::size_t j = perm[jj];
     out.s[jj] = s[j];
     const double inv = s[j] > 0 ? 1.0 / s[j] : 0.0;
-    for (std::size_t i = 0; i < m; ++i) out.u(i, jj) = w(i, j) * inv;
-    for (std::size_t i = 0; i < n; ++i) out.v(i, jj) = v(i, j);
+    for (std::size_t i = 0; i < m; ++i) out.u.row(i)[jj] = w[j * m + i] * inv;
+    for (std::size_t i = 0; i < n; ++i) out.v.row(i)[jj] = v[j * n + i];
   }
   return out;
 }
@@ -107,18 +121,25 @@ Svd svd(const Matrix& a) {
 namespace {
 
 Matrix pinv_from_svd(const Svd& f, std::vector<double> sinv) {
-  // A+ = V diag(sinv) U^T, assembled without forming diag explicitly.
+  // A+ = V diag(sinv) U^T, assembled without forming diag explicitly:
+  // out(i, j) = sum_l (v(i, l) sinv[l]) u(j, l), over the row spans of V and
+  // U in ascending l.
   const std::size_t n = f.v.rows();
   const std::size_t m = f.u.rows();
   const std::size_t k = f.s.size();
   Matrix out(n, m);
-  for (std::size_t i = 0; i < n; ++i)
+  std::vector<double> vs(k);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto vrow = f.v.row(i);
+    for (std::size_t l = 0; l < k; ++l) vs[l] = vrow[l] * sinv[l];
+    const auto orow = out.row(i);
     for (std::size_t j = 0; j < m; ++j) {
+      const auto urow = f.u.row(j);
       double acc = 0;
-      for (std::size_t l = 0; l < k; ++l)
-        acc += f.v(i, l) * sinv[l] * f.u(j, l);
-      out(i, j) = acc;
+      for (std::size_t l = 0; l < k; ++l) acc += vs[l] * urow[l];
+      orow[j] = acc;
     }
+  }
   return out;
 }
 

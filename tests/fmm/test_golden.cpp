@@ -1,0 +1,140 @@
+// Golden bitwise regression for the two cold steps of a plan: the SVD-based
+// check-to-equivalent pseudo-inverses and the GPU counter profile. The
+// hashes were recorded from the straightforward row-major Jacobi SVD and
+// the serial one-access-at-a-time cache replay; every faster layout or
+// parallel schedule of either must reproduce them bit for bit, at any
+// OpenMP thread count.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "../test_support.hpp"
+#include "fmm/gpu_profile.hpp"
+#include "fmm/pointgen.hpp"
+#include "fmm/surface.hpp"
+#include "linalg/svd.hpp"
+#include "util/rng.hpp"
+
+namespace eroof::fmm {
+namespace {
+
+struct SvdGoldenCase {
+  const char* name;
+  int p;
+  std::uint64_t uc2e;  ///< hash of svd (u, s, v) then pinv_tikhonov
+  std::uint64_t dc2e;
+};
+
+const Kernel& kernel_for(std::string_view name) {
+  static const LaplaceKernel laplace;
+  static const YukawaKernel yukawa{1.5};
+  static const GaussianKernel gaussian{0.5};
+  if (name.starts_with("laplace")) return laplace;
+  if (name.starts_with("yukawa")) return yukawa;
+  return gaussian;
+}
+
+/// The check-to-equivalent matrix exactly as Operators::build_level forms
+/// it for a level-2 box of a unit root.
+std::uint64_t solve_hash(const Kernel& kernel, int p, bool up) {
+  const Box box{{0, 0, 0}, 0.25};
+  const auto inner = surface_points(p, box, kRadiusInner);
+  const auto outer = surface_points(p, box, kRadiusOuter);
+  const la::Matrix k = up ? kernel.matrix(outer, inner)
+                          : kernel.matrix(inner, outer);
+  const la::Svd f = la::svd(k);
+  GoldenHash h;
+  h.add(f.u);
+  h.add(f.s);
+  h.add(f.v);
+  h.add(la::pinv_tikhonov(k, FmmConfig{}.tikhonov_eps));
+  return h.value();
+}
+
+TEST(SvdGolden, CheckToEquivalentFactorsAndPseudoInverses) {
+  const SvdGoldenCase cases[] = {
+      {"laplace_p4", 4, 0x128308b7d7d7aad9ULL,
+       0x328b84a047946fb4ULL},
+      {"laplace_p5", 5, 0x47cc960c51361ec7ULL,
+       0x413d98e34769b4a5ULL},
+      {"yukawa_p4", 4, 0x8ed6f4cd46edbe70ULL,
+       0x6cc71f2d010638cdULL},
+      {"gaussian_p5", 5, 0x2ad46c0b02571997ULL,
+       0x2730f5622735c00dULL},
+  };
+  for (const int threads : {1, 2, 4}) {
+    with_threads(threads, [&] {
+      for (const auto& c : cases) {
+        const Kernel& kernel = kernel_for(c.name);
+        EXPECT_EQ(solve_hash(kernel, c.p, true), c.uc2e)
+            << c.name << " uc2e threads=" << threads;
+        EXPECT_EQ(solve_hash(kernel, c.p, false), c.dc2e)
+            << c.name << " dc2e threads=" << threads;
+      }
+    });
+  }
+}
+
+/// Every counter of every phase, names and values, in phase order.
+std::uint64_t profile_hash(const FmmEvaluator& ev) {
+  GoldenHash h;
+  for (const auto& phase : profile_gpu_execution(ev).phases) {
+    h.add(phase.name);
+    for (const auto& [name, value] : phase.counters.values()) {
+      h.add(name);
+      h.add(value);
+    }
+  }
+  return h.value();
+}
+
+struct ProfileGoldenCase {
+  const char* name;
+  std::uint64_t hash;
+};
+
+FmmEvaluator golden_evaluator(std::string_view name) {
+  static const LaplaceKernel kernel;
+  util::Rng rng(11);
+  constexpr std::uint32_t kQ = 64;
+  Octree::Params params{.max_points_per_box = kQ};
+  std::vector<Vec3> pts;
+  if (name == "uniform_32768") {
+    pts = uniform_cube(32768, rng);
+    params.uniform_depth = Octree::uniform_depth_for(pts.size(), kQ);
+  } else if (name == "clusters_8192") {
+    pts = gaussian_clusters(8192, 8, 0.05, rng);
+  } else {
+    pts = sphere_surface(4096, rng);
+  }
+  return FmmEvaluator(kernel, pts, params, FmmConfig{.p = 4});
+}
+
+TEST(GpuProfileGolden, EveryCounterMatchesTheRecordedHash) {
+  const ProfileGoldenCase cases[] = {
+      {"uniform_32768", 0x5a4c1dff8d3818e7ULL},
+      {"clusters_8192", 0xfa33ba5f0f8d5cf8ULL},
+      {"sphere_adaptive_4096", 0x2527e5ff3e97a84eULL},
+  };
+  for (const auto& c : cases) {
+    const FmmEvaluator ev = golden_evaluator(c.name);
+    if (c.name != std::string_view("uniform_32768")) {
+      // The adaptive trees must exercise the W and X replays too.
+      const auto prof = profile_gpu_execution(ev);
+      EXPECT_GT(prof.phases[3].counters.get("gld_request"), 0.0) << c.name;
+      EXPECT_GT(prof.phases[4].counters.get("gld_request"), 0.0) << c.name;
+    }
+    for (const int threads : {1, 2, 4}) {
+      with_threads(threads, [&] {
+        EXPECT_EQ(profile_hash(ev), c.hash)
+            << c.name << " threads=" << threads;
+      });
+    }
+  }
+}
+
+}  // namespace
+}  // namespace eroof::fmm

@@ -12,29 +12,13 @@
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
+#include "../test_support.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/pointgen.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::fmm {
 namespace {
-
-template <typename Fn>
-void with_threads(int num_threads, Fn&& fn) {
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(num_threads);
-  fn();
-  omp_set_num_threads(saved);
-#else
-  (void)num_threads;
-  fn();
-#endif
-}
 
 ::testing::AssertionResult bitwise_equal(const std::vector<double>& got,
                                          const std::vector<double>& want) {

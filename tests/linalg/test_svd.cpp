@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "../test_support.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::la {
@@ -108,6 +109,21 @@ TEST(PinvTikhonov, RegularizationDampsSmallSingularValues) {
   const Matrix reg = pinv_tikhonov(a, 1e-4);
   EXPECT_LT(std::abs(reg(1, 1)), 1e13);  // far below 1/1e-12 scale blow-up
   EXPECT_NEAR(reg(0, 0), 1.0, 1e-6);
+}
+
+// Golden bits of the transposed (rows < cols) branch: factors and both
+// pseudo-inverses of a wide random matrix, recorded from the row-major
+// Jacobi sweep. The fmm golden suite covers the square KIFMM solves.
+TEST(SvdGolden, WideRandomMatrixFactorsAndPseudoInverses) {
+  const Matrix a = random_matrix(24, 61, 2016);
+  const Svd f = svd(a);
+  GoldenHash h;
+  h.add(f.u);
+  h.add(f.s);
+  h.add(f.v);
+  h.add(pinv(a));
+  h.add(pinv_tikhonov(a, 1e-10));
+  EXPECT_EQ(h.value(), 0x595260f7da01fb57ULL);
 }
 
 TEST(Cond2, IdentityIsOne) {
