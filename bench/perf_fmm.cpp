@@ -9,7 +9,9 @@
 //     machine-readable JSON file (default BENCH_fmm.json). The same file
 //     carries the two cold steps a plan pays before its first evaluate --
 //     the operator build (`plan_build`) and the modelled GPU profile
-//     (`gpu_profile`) -- per thread count. CI runs this on every build so
+//     (`gpu_profile`) -- per thread count, and the V phase's two largest
+//     buffers in bytes (`m2l_bank_bytes`, `spectra_bytes`), which are
+//     deterministic. CI runs this on every build so
 //     regressions show up as a data point, not an anecdote.
 #include <benchmark/benchmark.h>
 
@@ -161,6 +163,20 @@ Run measure(fmm::FmmEvaluator& ev, std::span<const double> dens, int threads,
   return run;
 }
 
+/// Bytes of the distinct M2L banks the tree's levels use (homogeneous
+/// kernels share one bank across levels).
+std::size_t m2l_bank_bytes(const fmm::Operators& ops, const fmm::Octree& tree) {
+  std::size_t bytes = 0;
+  const fmm::M2lBank* prev = nullptr;
+  for (int l = 2; l <= tree.max_depth(); ++l) {
+    const fmm::M2lBank* bank = ops.level(l).m2l.get();
+    if (bank && bank != prev)
+      bytes += (bank->re.size() + bank->im.size()) * sizeof(double);
+    prev = bank;
+  }
+  return bytes;
+}
+
 int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
                    int p, int reps) {
   util::Rng rng(1);
@@ -195,6 +211,9 @@ int run_bench_json(const std::string& path, std::size_t n, std::uint32_t q,
   out << "  \"q\": " << q << ",\n";
   out << "  \"p\": " << p << ",\n";
   out << "  \"tree_depth\": " << ev.tree().max_depth() << ",\n";
+  out << "  \"m2l_bank_bytes\": " << m2l_bank_bytes(ev.operators(), ev.tree())
+      << ",\n";
+  out << "  \"spectra_bytes\": " << ev.spectra_bytes() << ",\n";
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"runs\": [\n";
   for (std::size_t r = 0; r < runs.size(); ++r) {

@@ -34,6 +34,14 @@ int thread_index() {
 #endif
 }
 
+int team_size() {
+#ifdef _OPENMP
+  return omp_get_num_threads();
+#else
+  return 1;
+#endif
+}
+
 /// Mirrors one phase's tallies into the session's counter registry as
 /// "fmm.<phase>.<tally>" so regression tests can compare runs bit-for-bit.
 // eroof: cold (trace emission helper: only called with an installed
@@ -120,17 +128,7 @@ void FmmEvaluator::init() {
     if (!lists_.x[b].empty() && slot_[b] >= 0)
       x_targets_.push_back(static_cast<int>(b));
 
-  // V-phase spectra sized for the widest level that runs it.
-  std::size_t widest = 0;
-  const auto& by_level = tree_.nodes_by_level();
-  for (int l = kMinLevel; l <= tree_.max_depth(); ++l)
-    widest = std::max(widest, by_level[static_cast<std::size_t>(l)].size());
-  pos_in_level_.assign(nodes.size(), 0);
-  if (ops().config().use_fft_m2l) {
-    spec_re_.resize(widest * ops().grid_size());
-    spec_im_.resize(widest * ops().grid_size());
-  }
-
+  build_v_schedule();
   build_u_schedule();
   structural_stats_ = compute_structural_stats();
   stats_ = structural_stats_;
@@ -191,6 +189,85 @@ void FmmEvaluator::build_u_schedule() {
   u_pairs_.resize(pairs.size());
   for (std::size_t k = 0; k < pairs.size(); ++k)
     u_pairs_[next[color[k]]++] = pairs[k];
+  u_cost_prefix_.resize(u_pairs_.size() + 1);
+  fill_u_costs();
+}
+
+void FmmEvaluator::fill_u_costs() {
+  // eroof: hot-begin (refit: refill the pair-cost prefix sums in place)
+  u_cost_prefix_[0] = 0;
+  for (std::size_t k = 0; k < u_pairs_.size(); ++k)
+    u_cost_prefix_[k + 1] =
+        u_cost_prefix_[k] +
+        std::uint64_t{tree_.node(u_pairs_[k].first).num_points()} *
+            tree_.node(u_pairs_[k].second).num_points();
+  // eroof: hot-end
+}
+
+std::size_t FmmEvaluator::u_cut(std::size_t begin, std::size_t end,
+                                std::uint64_t t,
+                                std::uint64_t n_threads) const {
+  // First pair of thread t's share of class [begin, end): the first pair
+  // whose cost prefix reaches t / n_threads of the class's total. Integer
+  // costs make thread t's end and thread t + 1's begin the same index.
+  if (t >= n_threads) return end;
+  const std::uint64_t base = u_cost_prefix_[begin];
+  const std::uint64_t target =
+      base + (u_cost_prefix_[end] - base) * t / n_threads;
+  const auto first = u_cost_prefix_.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto last = u_cost_prefix_.begin() + static_cast<std::ptrdiff_t>(end);
+  return static_cast<std::size_t>(std::lower_bound(first, last, target) -
+                                  u_cost_prefix_.begin());
+}
+
+void FmmEvaluator::build_v_schedule() {
+  const std::size_t n_nodes = tree_.nodes().size();
+  // Only nodes with a non-empty V list are forward-transformed, which
+  // covers every source read exactly when V lists are symmetric. Check that
+  // against sorted copies of the lists (V lists are built in colleague
+  // order, not sorted).
+  std::vector<std::size_t> sorted_begin(n_nodes + 1, 0);
+  std::vector<int> sorted;
+  for (std::size_t b = 0; b < n_nodes; ++b) {
+    const auto& vb = lists_.v[b];
+    sorted.insert(sorted.end(), vb.begin(), vb.end());
+    std::sort(sorted.end() - static_cast<std::ptrdiff_t>(vb.size()),
+              sorted.end());
+    sorted_begin[b + 1] = sorted.size();
+  }
+  for (std::size_t b = 0; b < n_nodes; ++b)
+    for (const int s : lists_.v[b]) {
+      const auto* first =
+          sorted.data() + sorted_begin[static_cast<std::size_t>(s)];
+      const auto* last =
+          sorted.data() + sorted_begin[static_cast<std::size_t>(s) + 1];
+      EROOF_REQUIRE_MSG(
+          std::binary_search(first, last, static_cast<int>(b)),
+          "V lists are not symmetric");
+    }
+
+  // Per level, the V-active nodes in level order; the spectra arena is
+  // sized for the widest such list.
+  const auto& by_level = tree_.nodes_by_level();
+  const auto depth = static_cast<std::size_t>(tree_.max_depth());
+  v_level_begin_.assign(depth + 2, 0);
+  pos_in_level_.assign(n_nodes, 0);
+  std::size_t widest = 0;
+  for (std::size_t l = 0; l <= depth; ++l) {
+    const std::size_t begin = v_nodes_.size();
+    if (l >= static_cast<std::size_t>(kMinLevel))
+      for (const int b : by_level[l]) {
+        if (lists_.v[static_cast<std::size_t>(b)].empty()) continue;
+        pos_in_level_[static_cast<std::size_t>(b)] = v_nodes_.size() - begin;
+        v_nodes_.push_back(b);
+      }
+    v_level_begin_[l + 1] = v_nodes_.size();
+    widest = std::max(widest, v_nodes_.size() - begin);
+  }
+  if (ops().config().use_fft_m2l) {
+    spec_re_.resize(widest * ops().spectrum_size());
+    spec_im_.resize(widest * ops().spectrum_size());
+  }
 }
 
 FmmStats FmmEvaluator::compute_structural_stats() const {
@@ -291,11 +368,13 @@ void FmmEvaluator::ensure_workspaces() {
   const auto want = static_cast<std::size_t>(max_threads());
   if (workspaces_.size() >= want && !workspaces_.empty()) return;
   const std::size_t ns = ops().n_surf();
-  const std::size_t g = ops().config().use_fft_m2l ? ops().grid_size() : 0;
+  const bool fft = ops().config().use_fft_m2l;
+  const std::size_t g = fft ? ops().grid_size() : 0;
+  const std::size_t sz = fft ? ops().spectrum_size() : 0;
   workspaces_.resize(std::max<std::size_t>(want, 1));
   for (auto& ws : workspaces_) {
     ws.check.resize(ns);
-    ws.vals.resize(ns);
+    ws.vals.resize(2 * ns);
     ws.tx.resize(ns);
     ws.ty.resize(ns);
     ws.tz.resize(ns);
@@ -303,8 +382,8 @@ void FmmEvaluator::ensure_workspaces() {
     ws.sy.resize(ns);
     ws.sz.resize(ns);
     ws.grid.resize(g);
-    ws.acc_re.resize(g);
-    ws.acc_im.resize(g);
+    ws.acc_re.resize(2 * sz);
+    ws.acc_im.resize(2 * sz);
   }
 }
 
@@ -364,9 +443,9 @@ void FmmEvaluator::evaluate_into(std::span<const double> densities,
 bool FmmEvaluator::try_refit(std::span<const Vec3> new_points) {
   if (!tree_.try_refit(new_points)) return false;
   // Structure is unchanged, so every structural piece -- interaction lists,
-  // the U pair schedule, slots, arenas, X targets, spectra banks -- stays
-  // valid.
-  // Only the coordinates moved and the occupancy-dependent tallies shifted.
+  // the U pair schedule, V node lists, slots, arenas, X targets, spectra --
+  // stays valid. Only the coordinates moved, and with the occupancy the U
+  // pair costs and the tallies shifted.
   const auto pts = tree_.points();
   // eroof: hot-begin (refit: refresh the SoA coordinate mirror in place)
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -375,6 +454,7 @@ bool FmmEvaluator::try_refit(std::span<const Vec3> new_points) {
     pz_[i] = pts[i].z;
   }
   // eroof: hot-end
+  fill_u_costs();
   structural_stats_ = compute_structural_stats();
   stats_ = structural_stats_;
   return true;
@@ -435,69 +515,116 @@ void FmmEvaluator::node_up(int b, const double* dens) {
   // eroof: hot-end
 }
 
-void FmmEvaluator::node_fft_forward(int b) {
-  // eroof: hot-begin (V body: forward FFT of one node's equivalent grid into
-  // its level spectrum bank, split into real/imag planes so the Hadamard
-  // stage vectorizes)
-  const std::size_t g = ops().grid_size();
-  const std::size_t pos = pos_in_level_[static_cast<std::size_t>(b)] * g;
-  double* qr = spec_re_.data() + pos;
-  double* qi = spec_im_.data() + pos;
+void FmmEvaluator::v_pair_forward(int a, int b) {
+  // eroof: hot-begin (V body: one forward FFT of node a's equivalent grid as
+  // the real part and node b's as the imaginary part, split into their two
+  // Hermitian half spectra; b < 0 transforms a alone)
+  const std::size_t sz = ops().spectrum_size();
+  const auto spectrum = [&](std::vector<double>& plane, int n) {
+    return n < 0 ? std::span<double>{}
+                 : std::span<double>{
+                       plane.data() +
+                           pos_in_level_[static_cast<std::size_t>(n)] * sz,
+                       sz};
+  };
   Workspace& ws = workspace();
-  ops().embed(up_equiv(b), ws.grid);
+  ops().embed(up_equiv(a), ws.grid,
+              b < 0 ? std::span<const double>{} : up_equiv(b));
   ops().plan().forward(ws.grid);
-  for (std::size_t k = 0; k < g; ++k) {
-    qr[k] = ws.grid[k].real();
-    qi[k] = ws.grid[k].imag();
-  }
+  ops().store_half(ws.grid, spectrum(spec_re_, a), spectrum(spec_im_, a),
+                   spectrum(spec_re_, b), spectrum(spec_im_, b));
   // eroof: hot-end
 }
 
-void FmmEvaluator::node_v_hadamard(int b) {
-  // eroof: hot-begin (V body: Hadamard accumulate + inverse FFT + scatter
-  // onto one node's downward check surface)
-  const auto& vlist = lists_.v[static_cast<std::size_t>(b)];
-  if (vlist.empty()) return;
-  const std::size_t ns = ops().n_surf();
-  const std::size_t g = ops().grid_size();
+void FmmEvaluator::v_accumulate(int b, double* acc_re, double* acc_im) {
+  // eroof: hot-begin (V body: Hadamard accumulation of one target's V list
+  // over the half spectra)
+  const std::size_t sz = ops().spectrum_size();
   const Node& node = tree_.node(b);
   const LevelOperators& lops = ops().level(node.level());
-  const double* bank_re = lops.m2l->re.data();
-  const double* bank_im = lops.m2l->im.data();
-  const double scale = lops.m2l_scale;
   const auto bc = node.key.coords();
-  Workspace& ws = workspace();
-  std::fill(ws.acc_re.begin(), ws.acc_re.end(), 0.0);
-  std::fill(ws.acc_im.begin(), ws.acc_im.end(), 0.0);
-  double* acc_re = ws.acc_re.data();
-  double* acc_im = ws.acc_im.data();
-  for (const int s : vlist) {
+  // The kernel and source half spectra of one V-list entry.
+  struct Operands {
+    const double *t_re, *t_im, *q_re, *q_im;
+  };
+  const auto operands = [&](int s) {
     const auto sc = tree_.node(s).key.coords();
     const auto rel = Operators::rel_index(
         static_cast<int>(bc[0]) - static_cast<int>(sc[0]),
         static_cast<int>(bc[1]) - static_cast<int>(sc[1]),
         static_cast<int>(bc[2]) - static_cast<int>(sc[2]));
     EROOF_REQUIRE_MSG(rel.has_value(), "V-list pair in the near field");
-    const double* t_re = bank_re + *rel * g;
-    const double* t_im = bank_im + *rel * g;
-    const std::size_t pos = pos_in_level_[static_cast<std::size_t>(s)] * g;
-    const double* q_re = spec_re_.data() + pos;
-    const double* q_im = spec_im_.data() + pos;
+    const std::size_t pos = pos_in_level_[static_cast<std::size_t>(s)] * sz;
+    return Operands{lops.m2l->re.data() + *rel * sz,
+                    lops.m2l->im.data() + *rel * sz, spec_re_.data() + pos,
+                    spec_im_.data() + pos};
+  };
+  std::fill(acc_re, acc_re + sz, 0.0);
+  std::fill(acc_im, acc_im + sz, 0.0);
+  // Two V-list entries per pass over the accumulator, each added in list
+  // order with the one-entry expression, so every sum is bitwise the same;
+  // the pass saves one load and one store of each accumulator per entry.
+  // Operands are read into locals before the stores, which the compiler
+  // cannot move them past (it cannot rule out aliasing).
+  const auto& vlist = lists_.v[static_cast<std::size_t>(b)];
+  std::size_t i = 0;
+  for (; i + 1 < vlist.size(); i += 2) {
+    const Operands x = operands(vlist[i]);
+    const Operands y = operands(vlist[i + 1]);
 #pragma omp simd
-    for (std::size_t k = 0; k < g; ++k) {
-      acc_re[k] += t_re[k] * q_re[k] - t_im[k] * q_im[k];
-      acc_im[k] += t_re[k] * q_im[k] + t_im[k] * q_re[k];
+    for (std::size_t k = 0; k < sz; ++k) {
+      const double xtr = x.t_re[k], xti = x.t_im[k];
+      const double xqr = x.q_re[k], xqi = x.q_im[k];
+      const double ytr = y.t_re[k], yti = y.t_im[k];
+      const double yqr = y.q_re[k], yqi = y.q_im[k];
+      const double re = acc_re[k] + (xtr * xqr - xti * xqi);
+      const double im = acc_im[k] + (xtr * xqi + xti * xqr);
+      acc_re[k] = re + (ytr * yqr - yti * yqi);
+      acc_im[k] = im + (ytr * yqi + yti * yqr);
     }
   }
-  for (std::size_t k = 0; k < g; ++k)
-    ws.grid[k] = fft::cplx{acc_re[k], acc_im[k]};
+  if (i < vlist.size()) {
+    const Operands x = operands(vlist[i]);
+#pragma omp simd
+    for (std::size_t k = 0; k < sz; ++k) {
+      const double xtr = x.t_re[k], xti = x.t_im[k];
+      const double xqr = x.q_re[k], xqi = x.q_im[k];
+      acc_re[k] += xtr * xqr - xti * xqi;
+      acc_im[k] += xtr * xqi + xti * xqr;
+    }
+  }
+  // eroof: hot-end
+}
+
+void FmmEvaluator::v_pair_hadamard(int a, int b) {
+  // eroof: hot-begin (V body: accumulate two targets' half spectra, one
+  // inverse FFT of A + iB, and scatter the real part onto a's downward
+  // check surface and the imaginary part onto b's; b < 0 runs a alone)
+  const std::size_t ns = ops().n_surf();
+  const std::size_t sz = ops().spectrum_size();
+  const double scale = ops().level(tree_.node(a).level()).m2l_scale;
+  Workspace& ws = workspace();
+  const bool pair = b >= 0;
+  v_accumulate(a, ws.acc_re.data(), ws.acc_im.data());
+  if (pair) v_accumulate(b, ws.acc_re.data() + sz, ws.acc_im.data() + sz);
+  const std::span<const double> acc_re(ws.acc_re);
+  const std::span<const double> acc_im(ws.acc_im);
+  ops().expand_half(acc_re.first(sz), acc_im.first(sz), ws.grid,
+                    pair ? acc_re.last(sz) : std::span<const double>{},
+                    pair ? acc_im.last(sz) : std::span<const double>{});
   ops().plan().inverse(ws.grid);
-  ops().extract(ws.grid, ws.vals);
-  double* check = down_check(b).data();
+  const std::span<double> vals(ws.vals);
+  ops().extract(ws.grid, vals.first(ns),
+                pair ? vals.last(ns) : std::span<double>{});
   // m2l_scale is a power of two for homogeneous kernels, so applying it
   // here (instead of to the shared bank) is exact.
+  for (const int n : {a, b}) {
+    if (n < 0) continue;
+    double* check = down_check(n).data();
+    const double* v = n == a ? vals.data() : vals.data() + ns;
 #pragma omp simd
-  for (std::size_t i = 0; i < ns; ++i) check[i] += scale * ws.vals[i];
+    for (std::size_t i = 0; i < ns; ++i) check[i] += scale * v[i];
+  }
   // eroof: hot-end
 }
 
@@ -673,23 +800,30 @@ void FmmEvaluator::v_phase() {
       continue;
     }
 
-    // Forward FFT of every level-l node's equivalent-density grid into the
-    // per-level spectrum banks (reused across levels; safe because the
-    // bulk-synchronous sweep finishes a level before starting the next).
-    for (std::size_t ni = 0; ni < level_nodes.size(); ++ni)
-      pos_in_level_[static_cast<std::size_t>(level_nodes[ni])] = ni;
-    // eroof: hot-begin (V: forward FFTs into the level spectrum banks)
+    // Forward FFTs of the level's V-active nodes into the per-level
+    // spectrum arena (reused across levels; safe because the
+    // bulk-synchronous sweep finishes a level before starting the next),
+    // two nodes per transform: positions 2q and 2q + 1 form pair q.
+    const std::size_t begin = v_level_begin_[static_cast<std::size_t>(l)];
+    const std::size_t count =
+        v_level_begin_[static_cast<std::size_t>(l) + 1] - begin;
+    const int* nodes = v_nodes_.data() + begin;
+    const std::size_t n_pairs = (count + 1) / 2;
+    const auto second = [&](std::size_t q) {
+      return 2 * q + 1 < count ? nodes[2 * q + 1] : -1;
+    };
+    // eroof: hot-begin (V: paired forward FFTs into the level spectrum arena)
 #pragma omp parallel for schedule(dynamic)
-    for (std::size_t ni = 0; ni < level_nodes.size(); ++ni)
-      node_fft_forward(level_nodes[ni]);
+    for (std::size_t q = 0; q < n_pairs; ++q)
+      v_pair_forward(nodes[2 * q], second(q));
     // eroof: hot-end
 
-    // Per target: accumulate Hadamard products in Fourier space, one
-    // inverse FFT, then scatter onto the downward check surface.
+    // Per target pair: accumulate Hadamard products in Fourier space, one
+    // inverse FFT, then scatter onto the two downward check surfaces.
     // eroof: hot-begin (V: Hadamard accumulate + inverse FFT + scatter)
 #pragma omp parallel for schedule(dynamic)
-    for (std::size_t ni = 0; ni < level_nodes.size(); ++ni)
-      node_v_hadamard(level_nodes[ni]);
+    for (std::size_t q = 0; q < n_pairs; ++q)
+      v_pair_hadamard(nodes[2 * q], second(q));
     // eroof: hot-end
   }
 }
@@ -728,10 +862,11 @@ void FmmEvaluator::u_pass(std::span<const double> dens,
   // Self blocks first, then one color class at a time. A class is a
   // matching -- no leaf appears in two of its pairs -- so its blocks write
   // disjoint potentials, and each leaf sees its blocks in an order fixed by
-  // the schedule alone: bitwise identical at any thread count. Classes are
-  // split statically, which measured a little faster than dynamic at 4
-  // threads: contiguous runs of (b, a) order keep neighbouring leaves on
-  // one thread.
+  // the schedule alone: bitwise identical at any thread count. Each thread
+  // takes one contiguous range of a class, cut at equal shares of the
+  // class's pair cost n_b * n_a: contiguous runs of (b, a) order keep
+  // neighbouring leaves on one thread, and the cost cut keeps the threads
+  // level as occupancy drifts away from uniform.
   const auto& leaves = tree_.leaves();
   const std::size_t n_colors = u_color_begin_.size() - 1;
   // eroof: hot-begin (U: mutual near-field P2P over the colored schedule)
@@ -740,11 +875,16 @@ void FmmEvaluator::u_pass(std::span<const double> dens,
 #pragma omp for schedule(dynamic)
     for (std::size_t li = 0; li < leaves.size(); ++li)
       u_block(leaves[li], leaves[li], dens.data(), phi.data());
+    const auto t = static_cast<std::uint64_t>(thread_index());
+    const auto n_threads = static_cast<std::uint64_t>(team_size());
     for (std::size_t c = 0; c < n_colors; ++c) {
-#pragma omp for schedule(static)
-      for (std::size_t k = u_color_begin_[c]; k < u_color_begin_[c + 1]; ++k)
+      const std::size_t begin = u_color_begin_[c];
+      const std::size_t end = u_color_begin_[c + 1];
+      const std::size_t hi = u_cut(begin, end, t + 1, n_threads);
+      for (std::size_t k = u_cut(begin, end, t, n_threads); k < hi; ++k)
         u_block(u_pairs_[k].first, u_pairs_[k].second, dens.data(),
                 phi.data());
+#pragma omp barrier
     }
   }
   // eroof: hot-end

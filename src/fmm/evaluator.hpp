@@ -17,7 +17,9 @@
 // coordinate arrays; surface points come from per-level templates
 // (center + offset); and every phase loop runs allocation-free against
 // per-thread Workspace scratch, with kernel evaluation batched through
-// Kernel::eval_batch (one virtual call per tile, simd inner loops). The U
+// Kernel::eval_batch (one virtual call per tile, simd inner loops). The V
+// phase works on Hermitian half spectra and transforms two real grids per
+// complex FFT, pairing consecutive nodes of a level's V-active list. The U
 // phase is mutual: each unordered pair of adjacent leaves is evaluated once
 // through Kernel::eval_mutual and scattered into both leaves, and each
 // leaf's self block once as its upper triangle (DESIGN.md section 7).
@@ -34,6 +36,7 @@
 // invariant.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -48,12 +51,17 @@
 namespace eroof::fmm {
 
 /// Structural work tallies from one evaluation, per phase. These are the
-/// ground truth the GPU execution profile is cross-checked against.
+/// ground truth the GPU execution profile is cross-checked against. V
+/// tallies count the paper's full-grid work -- one forward FFT per node of
+/// a level and one inverse per V target, grid_size() complex multiplies per
+/// V pair -- not the host's: the host pairs two real grids per complex FFT,
+/// forward-transforms only nodes with a V list, and multiplies Hermitian
+/// half spectra of spectrum_size() values.
 struct FmmStats {
   struct Phase {
     double kernel_evals = 0;  ///< pointwise K(x,y) evaluations
     double pair_count = 0;    ///< list pairs processed
-    double ffts = 0;          ///< forward + inverse grid FFTs
+    double ffts = 0;          ///< forward + inverse m^3 grid FFTs
     double hadamard_cmuls = 0;  ///< complex multiplies in V-phase products
     double solve_matvecs = 0;   ///< n_surf^2-sized dense matvec applications
   };
@@ -104,9 +112,10 @@ class FmmEvaluator {
 
   /// Re-bins moved positions into the existing tree via Octree::try_refit.
   /// On success (structure unchanged) the interaction lists, U pair
-  /// schedule, node slots, arenas and spectra banks -- all purely
-  /// structural -- are kept as-is; only the SoA coordinate mirror and the
-  /// occupancy-dependent structural stats are refreshed, and subsequent
+  /// schedule, V node lists, node slots, arenas and spectra -- all purely
+  /// structural -- are kept as-is; only the SoA coordinate mirror, the U
+  /// pair costs and the occupancy-dependent structural stats are
+  /// refreshed in place, and subsequent
   /// evaluations are bitwise identical to a fresh evaluator built from
   /// `new_points`. On false the evaluator is unchanged (caller rebuilds).
   /// Allocation-free after the tree's first refit.
@@ -117,6 +126,11 @@ class FmmEvaluator {
   const Operators& operators() const { return plan_->operators(); }
   const Kernel& kernel() const { return plan_->kernel(); }
   const std::shared_ptr<const FmmPlan>& plan() const { return plan_; }
+
+  /// Bytes of the V phase's half-spectrum arena (0 on the dense path).
+  std::size_t spectra_bytes() const {
+    return (spec_re_.size() + spec_im_.size()) * sizeof(double);
+  }
 
   /// Tallies of the most recent evaluate() call. The tallies are purely
   /// structural (tree + lists + operators), so they are computed once at
@@ -143,7 +157,8 @@ class FmmEvaluator {
  private:
   /// Per-thread scratch so phase loops never touch the heap: check/value
   /// surface buffers, materialized SoA surface points, and the V-phase FFT
-  /// grid + split-complex accumulators.
+  /// grid + split-complex half-spectrum accumulators. `vals`, `acc_re` and
+  /// `acc_im` hold two halves, one per node of a V pair.
   struct Workspace {
     std::vector<double> check, vals;
     std::vector<double> tx, ty, tz;  // target-side surface points
@@ -154,8 +169,9 @@ class FmmEvaluator {
 
   // -- per-node phase bodies ----------------------------------------------
   void node_up(int b, const double* dens);
-  void node_fft_forward(int b);
-  void node_v_hadamard(int b);
+  void v_pair_forward(int a, int b);
+  void v_accumulate(int b, double* acc_re, double* acc_im);
+  void v_pair_hadamard(int a, int b);
   void node_v_dense(int b);
   void node_x(int b, const double* dens);
   void node_down(int b);
@@ -175,6 +191,10 @@ class FmmEvaluator {
 
   void init();  ///< common construction tail of all constructors
   void build_u_schedule();
+  void fill_u_costs();
+  std::size_t u_cut(std::size_t begin, std::size_t end, std::uint64_t t,
+                    std::uint64_t n_threads) const;
+  void build_v_schedule();
 
   /// The canonical serial tally pass (see stats()).
   FmmStats compute_structural_stats() const;
@@ -237,17 +257,29 @@ class FmmEvaluator {
   // distinct U-list leaves, greedily edge-colored in (b, a) order into
   // matchings and stored by color as CSR (pairs of color c occupy
   // [u_color_begin_[c], u_color_begin_[c + 1])). Structure only, so refits
-  // keep it.
+  // keep it. u_cost_prefix_[k] is the sum of n_b * n_a over pairs [0, k):
+  // each class is cut into per-thread ranges of equal cost. Occupancy
+  // moves with every refit, which refills it in place.
   std::vector<std::pair<int, int>> u_pairs_;
   std::vector<std::size_t> u_color_begin_;
+  std::vector<std::uint64_t> u_cost_prefix_;
 
   // Nodes with non-empty X lists (most have none; the X phase iterates
   // only these).
   std::vector<int> x_targets_;
 
-  // V-phase scratch: per-level node positions and split-complex spectra of
-  // the widest level, reused across levels and calls.
+  // The V phase's node lists: per level, the nodes with a non-empty V list
+  // in level order, as CSR (level l occupies
+  // [v_level_begin_[l], v_level_begin_[l + 1]) of v_nodes_). V lists are
+  // symmetric, so no other node's spectrum is ever read. pos_in_level_ is a
+  // node's position in its level's list; consecutive positions (2q, 2q + 1)
+  // share one forward and one inverse FFT. Structure only, so refits keep
+  // them.
+  std::vector<int> v_nodes_;
+  std::vector<std::size_t> v_level_begin_;
   std::vector<std::size_t> pos_in_level_;
+  // Split-complex half spectra of the widest level's V-active nodes,
+  // spectrum_size() each, reused across levels and calls.
   std::vector<double> spec_re_, spec_im_;
 
   std::vector<Workspace> workspaces_;

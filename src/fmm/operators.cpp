@@ -78,43 +78,125 @@ std::vector<fft::cplx> Operators::m2l_spectrum(int l, std::size_t rel) const {
   const LevelOperators& ops = level(l);
   EROOF_REQUIRE(rel < 343);
   if (!ops.m2l) return {};
-  const std::size_t g = grid_size();
-  const double* re = ops.m2l->re.data() + rel * g;
-  const double* im = ops.m2l->im.data() + rel * g;
+  const std::size_t sz = spectrum_size();
+  const std::span<const double> re(ops.m2l->re.data() + rel * sz, sz);
+  const std::span<const double> im(ops.m2l->im.data() + rel * sz, sz);
   bool nonzero = false;
-  for (std::size_t k = 0; k < g && !nonzero; ++k)
+  for (std::size_t k = 0; k < sz && !nonzero; ++k)
     nonzero = re[k] != 0.0 || im[k] != 0.0;
   if (!nonzero) return {};  // near-field slot, never built
-  std::vector<fft::cplx> out(g);
-  for (std::size_t k = 0; k < g; ++k)
-    out[k] = fft::cplx{ops.m2l_scale * re[k], ops.m2l_scale * im[k]};
+  std::vector<fft::cplx> out(grid_size());
+  expand_half(re, im, out);
+  for (auto& z : out)
+    z = fft::cplx{ops.m2l_scale * z.real(), ops.m2l_scale * z.imag()};
   return out;
 }
 
 void Operators::embed(std::span<const double> surf_values,
-                      std::span<fft::cplx> grid) const {
+                      std::span<fft::cplx> grid,
+                      std::span<const double> imag_values) const {
   EROOF_REQUIRE(surf_values.size() == n_surf() && grid.size() == grid_size());
+  EROOF_REQUIRE(imag_values.empty() || imag_values.size() == n_surf());
   std::fill(grid.begin(), grid.end(), fft::cplx{0, 0});
+  if (imag_values.empty()) {
+    for (std::size_t s = 0; s < surf_values.size(); ++s)
+      grid[surf_to_grid_[s]] = fft::cplx{surf_values[s], 0};
+    return;
+  }
   for (std::size_t s = 0; s < surf_values.size(); ++s)
-    grid[surf_to_grid_[s]] = fft::cplx{surf_values[s], 0};
+    grid[surf_to_grid_[s]] = fft::cplx{surf_values[s], imag_values[s]};
 }
 
 void Operators::extract(std::span<const fft::cplx> grid,
-                        std::span<double> surf_values) const {
+                        std::span<double> surf_values,
+                        std::span<double> imag_values) const {
   EROOF_REQUIRE(surf_values.size() == n_surf() && grid.size() == grid_size());
+  EROOF_REQUIRE(imag_values.empty() || imag_values.size() == n_surf());
   for (std::size_t s = 0; s < surf_values.size(); ++s)
     surf_values[s] = grid[surf_to_grid_[s]].real();
+  for (std::size_t s = 0; s < imag_values.size(); ++s)
+    imag_values[s] = grid[surf_to_grid_[s]].imag();
+}
+
+void Operators::store_half(std::span<const fft::cplx> grid,
+                           std::span<double> a_re, std::span<double> a_im,
+                           std::span<double> b_re,
+                           std::span<double> b_im) const {
+  const std::size_t m = grid_m();
+  const std::size_t h = m / 2 + 1;
+  const std::size_t sz = spectrum_size();
+  EROOF_REQUIRE(grid.size() == grid_size() && a_re.size() == sz &&
+                a_im.size() == sz);
+  EROOF_REQUIRE(b_re.size() == b_im.size() &&
+                (b_re.empty() || b_re.size() == sz));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const fft::cplx* z = grid.data() + (i * m + j) * m;
+      const std::size_t out = (i * m + j) * h;
+      if (b_re.empty()) {
+        for (std::size_t k = 0; k < h; ++k) {
+          a_re[out + k] = z[k].real();
+          a_im[out + k] = z[k].imag();
+        }
+        continue;
+      }
+      // w[k] = Z[-i, -j, -k], the mirror of z[k].
+      const fft::cplx* w = grid.data() + (((m - i) % m) * m + (m - j) % m) * m;
+      for (std::size_t k = 0; k < h; ++k) {
+        const fft::cplx zk = z[k];
+        const fft::cplx wk = w[(m - k) % m];
+        a_re[out + k] = 0.5 * (zk.real() + wk.real());
+        a_im[out + k] = 0.5 * (zk.imag() - wk.imag());
+        b_re[out + k] = 0.5 * (zk.imag() + wk.imag());
+        b_im[out + k] = 0.5 * (wk.real() - zk.real());
+      }
+    }
+  }
+}
+
+void Operators::expand_half(std::span<const double> a_re,
+                            std::span<const double> a_im,
+                            std::span<fft::cplx> grid,
+                            std::span<const double> b_re,
+                            std::span<const double> b_im) const {
+  const std::size_t m = grid_m();
+  const std::size_t h = m / 2 + 1;
+  const std::size_t sz = spectrum_size();
+  EROOF_REQUIRE(grid.size() == grid_size() && a_re.size() == sz &&
+                a_im.size() == sz);
+  EROOF_REQUIRE(b_re.size() == b_im.size() &&
+                (b_re.empty() || b_re.size() == sz));
+  const bool pair = !b_re.empty();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      fft::cplx* out = grid.data() + (i * m + j) * m;
+      // The stored half: k <= m/2 is read as is.
+      const std::size_t in = (i * m + j) * h;
+      for (std::size_t k = 0; k < h; ++k)
+        out[k] = pair ? fft::cplx{a_re[in + k] - b_im[in + k],
+                                  a_im[in + k] + b_re[in + k]}
+                      : fft::cplx{a_re[in + k], a_im[in + k]};
+      // The mirrored half: X[i, j, k] = conj X[-i, -j, m - k].
+      const std::size_t mir = (((m - i) % m) * m + (m - j) % m) * h;
+      for (std::size_t k = h; k < m; ++k) {
+        const std::size_t r = mir + (m - k);
+        out[k] = pair ? fft::cplx{a_re[r] + b_im[r], b_re[r] - a_im[r]}
+                      : fft::cplx{a_re[r], -a_im[r]};
+      }
+    }
+  }
 }
 
 std::shared_ptr<M2lBank> Operators::build_m2l_bank(const Kernel& kernel,
                                                    double h) {
   const std::size_t m = grid_m();
   const std::size_t g = grid_size();
+  const std::size_t sz = spectrum_size();
   const Box box{{0, 0, 0}, h};
   const double spacing = surface_spacing(cfg_.p, box, kRadiusInner);
   auto bank = std::make_shared<M2lBank>();
-  bank->re.assign(343 * g, 0.0);
-  bank->im.assign(343 * g, 0.0);
+  bank->re.assign(343 * sz, 0.0);
+  bank->im.assign(343 * sz, 0.0);
   const Vec3 origin{0, 0, 0};
 
   // Each admissible offset builds its kernel tensor and FFTs it into its own
@@ -149,12 +231,8 @@ std::shared_ptr<M2lBank> Operators::build_m2l_bank(const Kernel& kernel,
               fft::cplx{kernel.eval(displacement, origin), 0};
         }
     plan_.forward(t);
-    double* re = bank->re.data() + *rel * g;
-    double* im = bank->im.data() + *rel * g;
-    for (std::size_t k = 0; k < g; ++k) {
-      re[k] = t[k].real();
-      im[k] = t[k].imag();
-    }
+    store_half(t, {bank->re.data() + *rel * sz, sz},
+               {bank->im.data() + *rel * sz, sz});
   }
   return bank;
 }

@@ -15,12 +15,16 @@
 //          space (the paper's "FFTs and vector additions" V-list phase).
 //
 // The M2L spectra are stored in split real/imag planes (M2lBank) so the
-// V-phase Hadamard accumulation vectorizes; for homogeneous kernels
-// (K(ax, ay) = a^deg K(x, y)) one bank built at the reference level is
-// shared by every level through a per-level scalar, and the dense operators
-// are rescaled instead of rebuilt -- exact, because all surface geometry
-// scales linearly with the box size and the Tikhonov filter is relative to
-// the largest singular value.
+// V-phase Hadamard accumulation vectorizes. Kernel tensors, equivalent
+// densities and check potentials are real, so every spectrum is Hermitian
+// (X[-k] = conj X[k]): the host stores only its k <= m/2 half along the
+// last axis, spectrum_size() = m*m*(m/2+1) of the grid_size() = m^3 values
+// (320 of 512 at p = 4), and the V phase multiplies only that half. For
+// homogeneous kernels (K(ax, ay) = a^deg K(x, y)) one bank built at the
+// reference level is shared by every level through a per-level scalar, and
+// the dense operators are rescaled instead of rebuilt -- exact, because all
+// surface geometry scales linearly with the box size and the Tikhonov
+// filter is relative to the largest singular value.
 //
 // Requires a translation-invariant kernel for the FFT path (all bundled
 // kernels are); V-list translations fall back to dense application per pair
@@ -30,6 +34,7 @@
 #include <complex>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fft/fft3.hpp"
@@ -49,10 +54,11 @@ struct FmmConfig {
   bool use_fft_m2l = true;
 };
 
-/// FFT'd M2L kernel tensors for all 343 relative offsets of one level, in
-/// split real/imag layout: plane `rel` occupies [rel*g, (rel+1)*g) of each
-/// array (g = grid_size()). Near-field offsets that never occur in V lists
-/// are zero-filled. Shared across levels for homogeneous kernels.
+/// FFT'd M2L kernel tensors for all 343 relative offsets of one level, as
+/// Hermitian half spectra in split real/imag layout: plane `rel` occupies
+/// [rel*s, (rel+1)*s) of each array (s = Operators::spectrum_size()).
+/// Near-field offsets that never occur in V lists are zero-filled. Shared
+/// across levels for homogeneous kernels.
 struct M2lBank {
   std::vector<double> re;
   std::vector<double> im;
@@ -86,7 +92,14 @@ class Operators {
 
   /// FFT grid edge length m = 2p.
   std::size_t grid_m() const { return static_cast<std::size_t>(2 * cfg_.p); }
+  /// The paper's full m^3 FFT grid: what one grid FFT transforms and what
+  /// FmmStats' V tallies and the GPU profile count.
   std::size_t grid_size() const { return grid_m() * grid_m() * grid_m(); }
+  /// Complex values of one Hermitian half spectrum as the host stores it:
+  /// m * m * (m/2 + 1), the k <= m/2 half of the last axis.
+  std::size_t spectrum_size() const {
+    return grid_m() * grid_m() * (grid_m() / 2 + 1);
+  }
   const fft::Plan3& plan() const { return plan_; }
 
   std::size_t n_surf() const { return surface_point_count(cfg_.p); }
@@ -104,17 +117,39 @@ class Operators {
   static std::optional<std::size_t> rel_index(int dx, int dy, int dz);
 
   /// Materializes the (scaled) M2L spectrum of one relative offset as an
-  /// interleaved complex grid -- reference/test accessor, not a hot path.
+  /// interleaved complex m^3 grid, expanded from the stored half --
+  /// reference/test accessor, not a hot path.
   /// Empty if `rel` is a near-field slot or the FFT path is disabled.
   std::vector<fft::cplx> m2l_spectrum(int level, std::size_t rel) const;
 
-  /// Embeds an equivalent density (surface order) into a zeroed m^3 grid.
-  void embed(std::span<const double> surf_values,
-             std::span<fft::cplx> grid) const;
+  /// Embeds an equivalent density (surface order) into a zeroed m^3 grid
+  /// as its real part, and a second one, if given, as its imaginary part:
+  /// one forward FFT then transforms both (see store_half).
+  void embed(std::span<const double> surf_values, std::span<fft::cplx> grid,
+             std::span<const double> imag_values = {}) const;
 
-  /// Extracts check-surface values from an m^3 grid (real parts).
-  void extract(std::span<const fft::cplx> grid,
-               std::span<double> surf_values) const;
+  /// Extracts check-surface values from an m^3 grid: real parts, and the
+  /// imaginary parts into `imag_values` if given (see expand_half).
+  void extract(std::span<const fft::cplx> grid, std::span<double> surf_values,
+               std::span<double> imag_values = {}) const;
+
+  /// Stores the k <= m/2 half of a forward-transformed grid Z into split
+  /// planes of spectrum_size(). With one output, Z is the spectrum of a real
+  /// grid and is copied. With two, Z = FFT(a + i b) of two real grids, and
+  /// the halves of A = (Z + conj Z[-k]) / 2 and B = (Z - conj Z[-k]) / 2i
+  /// go to (a_re, a_im) and (b_re, b_im).
+  void store_half(std::span<const fft::cplx> grid, std::span<double> a_re,
+                  std::span<double> a_im, std::span<double> b_re = {},
+                  std::span<double> b_im = {}) const;
+
+  /// Expands a half spectrum A to the full m^3 grid through
+  /// X[-k] = conj X[k]. With a second half spectrum B, writes A + i B, whose
+  /// inverse FFT carries a's grid in the real part and b's in the imaginary
+  /// part.
+  void expand_half(std::span<const double> a_re, std::span<const double> a_im,
+                   std::span<fft::cplx> grid,
+                   std::span<const double> b_re = {},
+                   std::span<const double> b_im = {}) const;
 
  private:
   void build_level(const Kernel& kernel, int l, double root_half);

@@ -119,6 +119,28 @@ TEST(FmmAccuracyExtra, DenseM2LFallbackAgreesWithFft) {
   EXPECT_LT(rel_l2_error(a, b), 1e-10);
 }
 
+TEST(FmmAccuracyExtra, DenseM2LFallbackAgreesWithFftAtEveryOrder) {
+  // The FFT path's half spectra and paired transforms against the dense
+  // reference at p = 3..6, on a clustered adaptive tree (V lists on several
+  // levels, odd and even V-active counts).
+  util::Rng rng(82);
+  const auto pts = gaussian_clusters(1536, 3, 0.05, rng);
+  const auto dens = random_densities(pts.size(), rng);
+  const LaplaceKernel kernel;
+  for (int p = 3; p <= 6; ++p) {
+    FmmEvaluator fft_ev(kernel, pts, {.max_points_per_box = 24},
+                        FmmConfig{.p = p, .use_fft_m2l = true});
+    FmmEvaluator dense_ev(kernel, pts, {.max_points_per_box = 24},
+                          FmmConfig{.p = p, .use_fft_m2l = false});
+    ASSERT_GT(fft_ev.stats().v.pair_count, 0.0);
+    const auto a = fft_ev.evaluate(dens);
+    const auto b = dense_ev.evaluate(dens);
+    // The DC2E solves amplify M2L roundoff more as p grows: the full-grid
+    // FFT path read 2e-14, 3e-13, 7e-11 and 7e-10 here at p = 3..6.
+    EXPECT_LT(rel_l2_error(a, b), p <= 5 ? 1e-10 : 2e-9) << "p = " << p;
+  }
+}
+
 TEST(FmmAccuracyExtra, YukawaKernelWorks) {
   // Kernel independence: a non-homogeneous kernel through the same
   // machinery.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "fmm/pointgen.hpp"
@@ -71,13 +72,28 @@ TEST(Lists, VMembersAreSameLevelNonAdjacentWithAdjacentParents) {
 }
 
 TEST(Lists, VIsSymmetric) {
-  const auto [tree, lists] = make(3000, 16, 5);
-  for (std::size_t b = 0; b < tree.nodes().size(); ++b) {
-    for (const int s : lists.v[b]) {
-      const auto& vs = lists.v[static_cast<std::size_t>(s)];
-      EXPECT_NE(std::find(vs.begin(), vs.end(), static_cast<int>(b)),
-                vs.end());
+  // The evaluator's V phase forward-transforms only nodes with a non-empty
+  // V list, which covers every source it reads only because V lists are
+  // symmetric: check uniform, clustered and coarse trees.
+  struct Shape {
+    std::size_t n;
+    std::uint32_t q;
+    std::uint64_t seed;
+    bool clustered;
+  };
+  for (const Shape& sh : {Shape{3000, 16, 5, false}, Shape{3000, 6, 9, true},
+                          Shape{700, 64, 11, false}}) {
+    const auto [tree, lists] = make(sh.n, sh.q, sh.seed, sh.clustered);
+    std::size_t pairs = 0;
+    for (std::size_t b = 0; b < tree.nodes().size(); ++b) {
+      for (const int s : lists.v[b]) {
+        const auto& vs = lists.v[static_cast<std::size_t>(s)];
+        EXPECT_NE(std::find(vs.begin(), vs.end(), static_cast<int>(b)),
+                  vs.end());
+        ++pairs;
+      }
     }
+    EXPECT_GT(pairs, 0u) << sh.n << " points, q = " << sh.q;
   }
 }
 

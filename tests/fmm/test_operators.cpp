@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/require.hpp"
-
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -41,6 +40,111 @@ TEST(Operators, EmbedExtractRoundTrip) {
   ops.extract(grid, back);
   for (std::size_t i = 0; i < vals.size(); ++i)
     EXPECT_DOUBLE_EQ(back[i], vals[i]);
+}
+
+/// max |got - want| / max |want| over two equal-size complex grids.
+double rel_max_diff(std::span<const fft::cplx> got,
+                    std::span<const fft::cplx> want) {
+  double diff = 0;
+  double scale = 0;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    diff = std::max(diff, std::abs(got[k] - want[k]));
+    scale = std::max(scale, std::abs(want[k]));
+  }
+  return diff / scale;
+}
+
+std::vector<fft::cplx> random_real_grid(std::size_t size, util::Rng& rng) {
+  std::vector<fft::cplx> grid(size);
+  for (auto& z : grid) z = fft::cplx{rng.uniform(-1, 1), 0};
+  return grid;
+}
+
+TEST(Operators, HalfSpectrumStoreExpandRoundTrip) {
+  // The spectrum of a real grid is Hermitian, so its k <= m/2 half holds
+  // all of it: expanding the stored half through X[-k] = conj X[k] must
+  // give back the full forward transform, and its inverse the real grid.
+  const LaplaceKernel k;
+  for (int p = FmmConfig::kMinP; p <= 6; ++p) {
+    const Operators ops(k, 0.5, 2, FmmConfig{.p = p});
+    const std::size_t m = ops.grid_m();
+    ASSERT_EQ(ops.spectrum_size(), m * m * (m / 2 + 1)) << "p = " << p;
+    util::Rng rng(static_cast<std::uint64_t>(40 + p));
+    const auto real_grid = random_real_grid(ops.grid_size(), rng);
+    auto full = real_grid;
+    ops.plan().forward(full);
+
+    std::vector<double> re(ops.spectrum_size());
+    std::vector<double> im(ops.spectrum_size());
+    ops.store_half(full, re, im);
+    std::vector<fft::cplx> expanded(ops.grid_size());
+    ops.expand_half(re, im, expanded);
+    EXPECT_LT(rel_max_diff(expanded, full), 1e-13) << "p = " << p;
+
+    ops.plan().inverse(expanded);
+    EXPECT_LT(rel_max_diff(expanded, real_grid), 1e-13) << "p = " << p;
+  }
+}
+
+TEST(Operators, TwoForOneTransformsMatchTwoSingleTransforms) {
+  // Forward: FFT(a + i b) split into the half spectra of a and b. Inverse:
+  // the inverse FFT of A + i B carries a in the real part, b in the
+  // imaginary part. Both must match one transform per grid.
+  const LaplaceKernel k;
+  for (int p = FmmConfig::kMinP; p <= 6; ++p) {
+    const Operators ops(k, 0.5, 2, FmmConfig{.p = p});
+    const std::size_t sz = ops.spectrum_size();
+    util::Rng rng(static_cast<std::uint64_t>(50 + p));
+    std::vector<double> a(ops.n_surf());
+    std::vector<double> b(ops.n_surf());
+    for (auto& v : a) v = rng.uniform(-1, 1);
+    for (auto& v : b) v = rng.uniform(-1, 1);
+
+    // One transform per grid.
+    std::vector<fft::cplx> grid(ops.grid_size());
+    std::vector<double> a_re(sz), a_im(sz), b_re(sz), b_im(sz);
+    ops.embed(a, grid);
+    ops.plan().forward(grid);
+    ops.store_half(grid, a_re, a_im);
+    ops.embed(b, grid);
+    ops.plan().forward(grid);
+    ops.store_half(grid, b_re, b_im);
+
+    // One transform for both.
+    std::vector<double> pa_re(sz), pa_im(sz), pb_re(sz), pb_im(sz);
+    ops.embed(a, grid, b);
+    ops.plan().forward(grid);
+    ops.store_half(grid, pa_re, pa_im, pb_re, pb_im);
+    std::vector<fft::cplx> single(ops.grid_size());
+    std::vector<fft::cplx> paired(ops.grid_size());
+    ops.expand_half(a_re, a_im, single);
+    ops.expand_half(pa_re, pa_im, paired);
+    EXPECT_LT(rel_max_diff(paired, single), 1e-13) << "forward a, p = " << p;
+    ops.expand_half(b_re, b_im, single);
+    ops.expand_half(pb_re, pb_im, paired);
+    EXPECT_LT(rel_max_diff(paired, single), 1e-13) << "forward b, p = " << p;
+
+    // Inverse: one transform of A + i B against one per spectrum.
+    const auto inverse_single = [&](const std::vector<double>& re,
+                                    const std::vector<double>& im) {
+      ops.expand_half(re, im, single);
+      ops.plan().inverse(single);
+      std::vector<double> out(ops.n_surf());
+      ops.extract(single, out);
+      return out;
+    };
+    const auto want_a = inverse_single(a_re, a_im);
+    const auto want_b = inverse_single(b_re, b_im);
+    ops.expand_half(a_re, a_im, paired, b_re, b_im);
+    ops.plan().inverse(paired);
+    std::vector<double> got_a(ops.n_surf()), got_b(ops.n_surf());
+    ops.extract(paired, got_a, got_b);
+    EXPECT_LT(rel_l2_error(got_a, want_a), 1e-13) << "inverse a, p = " << p;
+    EXPECT_LT(rel_l2_error(got_b, want_b), 1e-13) << "inverse b, p = " << p;
+    // The single inverses recover the embedded densities.
+    EXPECT_LT(rel_l2_error(want_a, a), 1e-13) << "p = " << p;
+    EXPECT_LT(rel_l2_error(want_b, b), 1e-13) << "p = " << p;
+  }
 }
 
 TEST(Operators, RelIndexRejectsNearField) {
