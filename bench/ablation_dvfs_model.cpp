@@ -69,15 +69,14 @@ FixedModel fit_fixed(std::span<const model::FitSample> samples) {
 }  // namespace
 
 int main() {
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
 
   // Reference setting: the top operating point, where a fixed-cost model
   // would naturally be calibrated.
   const auto ref = hw::setting(852, 924);
   std::vector<model::FitSample> ref_samples;
   std::vector<model::FitSample> others;
-  for (const auto& s : platform.campaign) {
-    const auto fs = model::to_fit_sample(s.meas);
+  for (const auto& fs : ctx->all_samples()) {
     if (fs.setting.label() == ref.label())
       ref_samples.push_back(fs);
     else
@@ -88,7 +87,7 @@ int main() {
   // DVFS-aware model trained on the full training half (its design point);
   // also shown trained on the single reference setting, where its voltage
   // columns are confounded -- the honest small-data comparison.
-  const auto dvfs_full = platform.model;
+  const auto dvfs_full = ctx->model;
 
   std::vector<double> err_fixed_ref;
   std::vector<double> err_fixed_other;

@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace eroof;
   const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 65536;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
   const auto s1 = hw::setting(852, 924);
 
   std::cout << "Q sweep at N = " << n
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     double total_e = 0;
     hw::OpCounts ops;
     for (const auto& ph : prof.phases) {
-      const double ms = platform.soc.execution_time(ph.workload, s1) * 1e3;
+      const double ms = ctx->soc.execution_time(ph.workload, s1) * 1e3;
       total_ms += ms;
       if (ph.name == "U") u_ms = ms;
       if (ph.name == "V") v_ms = ms;
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     }
     const auto total = prof.total("q_sweep");
     const auto bd =
-        model::breakdown(platform.model, total.ops, s1, total_ms / 1e3);
+        model::breakdown(ctx->model, total.ops, s1, total_ms / 1e3);
     total_e = bd.total_j();
     const double intensity =
         (ops[hw::OpClass::kSpFlop] + ops[hw::OpClass::kDpFlop]) /

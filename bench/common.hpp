@@ -1,6 +1,7 @@
-// Shared plumbing for the table/figure reproduction benches: the calibrated
-// platform, the fitted model (from the paper's microbenchmark campaign), and
-// the Table IV FMM inputs F1..F8 with their GPU execution profiles -- plus
+// Shared plumbing for the table/figure reproduction benches, which all read
+// the one fitted platform, model::TuneContext::tegra_default() (the paper's
+// microbenchmark campaign and the model fitted on its training half): the
+// Table IV FMM inputs F1..F8 with their GPU execution profiles -- plus
 // the order statistics, JSON emission and flag parsing of perf_fmm's
 // trajectory mode, the one bench JSON writer here (end-to-end numbers live in
 // perfbench/).
@@ -12,44 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "core/fit.hpp"
+#include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/gpu_profile.hpp"
 #include "fmm/pointgen.hpp"
 #include "hw/soc.hpp"
-#include "ubench/campaign.hpp"
 
 namespace eroof::bench {
-
-/// Everything a reproduction bench needs: the simulated board, the meter,
-/// the campaign samples and the model fitted on the training half.
-struct Platform {
-  hw::Soc soc = hw::Soc::tegra_k1();
-  hw::PowerMon pm;
-  std::vector<ub::Sample> campaign;
-  model::EnergyModel model;
-
-  std::vector<model::FitSample> samples(hw::SettingRole role) const {
-    std::vector<model::FitSample> out;
-    for (const auto& s : campaign)
-      if (s.role == role) out.push_back(model::to_fit_sample(s.meas));
-    return out;
-  }
-
-  std::vector<model::FitSample> all_samples() const {
-    std::vector<model::FitSample> out;
-    for (const auto& s : campaign) out.push_back(model::to_fit_sample(s.meas));
-    return out;
-  }
-};
-
-inline Platform make_platform(std::uint64_t seed = 42) {
-  Platform p;
-  p.campaign = ub::paper_campaign(p.soc, p.pm, util::RngStream(seed));
-  const auto train = p.samples(hw::SettingRole::kTrain);
-  p.model = model::fit_energy_model(train).model;
-  return p;
-}
 
 /// Table IV FMM inputs.
 struct FmmInput {
@@ -86,14 +56,15 @@ struct FmmRunResult {
   hw::OpCounts ops;
 };
 
-inline FmmRunResult run_fmm_profile(const Platform& p,
+inline FmmRunResult run_fmm_profile(const model::TuneContext& ctx,
                                     const fmm::FmmGpuProfile& prof,
                                     const hw::DvfsSetting& setting,
                                     const util::RngStream& stream) {
+  const hw::PowerMon pm;
   FmmRunResult r;
   for (std::size_t i = 0; i < prof.phases.size(); ++i) {
     const auto& ph = prof.phases[i];
-    const auto m = p.soc.run(ph.workload, setting, p.pm, stream.fork(i));
+    const auto m = ctx.soc.run(ph.workload, setting, pm, stream.fork(i));
     r.time_s += m.time_s;
     r.energy_j += m.energy_j;
     r.ops += ph.workload.ops;

@@ -12,11 +12,11 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
 
-  const auto train = platform.samples(hw::SettingRole::kTrain);
-  const auto val = platform.samples(hw::SettingRole::kValidate);
-  const auto all = platform.all_samples();
+  const auto train = ctx->samples(hw::SettingRole::kTrain);
+  const auto val = ctx->samples(hw::SettingRole::kValidate);
+  const auto all = ctx->all_samples();
 
   const auto holdout = model::holdout_validation(train, val);
   const auto loso = model::leave_one_setting_out(all);

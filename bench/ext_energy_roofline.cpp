@@ -15,7 +15,7 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
 
   const std::vector<hw::DvfsSetting> settings = {
       hw::setting(852, 924), hw::setting(852, 204), hw::setting(396, 924),
@@ -44,11 +44,11 @@ int main() {
 
     std::vector<std::string> row{util::Table::num(intensity, 2)};
     for (const auto& s : settings) {
-      const double time = platform.soc.execution_time(w, s);
+      const double time = ctx->soc.execution_time(w, s);
       const double flops = w.ops[hw::OpClass::kSpFlop];
       const double energy =
-          platform.model.predict_energy_j(w.ops, s, time);
-      const double const_j = platform.model.constant_power_w(s) * time;
+          ctx->model.predict_energy_j(w.ops, s, time);
+      const double const_j = ctx->model.constant_power_w(s) * time;
       row.push_back(util::Table::num(energy / flops * 1e12, 1));
       csv.add_row({util::Table::num(intensity, 4), s.label(),
                    util::Table::num(time / flops * 1e9, 4),

@@ -16,9 +16,9 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
-  const auto time_model = model::fit_time_model(platform.all_samples()).model;
-  const auto grid = hw::full_grid();
+  const auto ctx = model::TuneContext::tegra_default();
+  const auto time_model = model::fit_time_model(ctx->all_samples()).model;
+  const auto& grid = ctx->grid;
   const util::RngStream root(202);
 
   std::cout << "Extension: predictive autotuning (no per-setting runs) vs "
@@ -36,16 +36,16 @@ int main() {
     std::vector<double> lost_meas;
     std::vector<double> lost_oracle;
     for (const auto& point : ub::intensity_sweep(cls)) {
-      const auto ms = model::measure_grid(platform.soc, point.workload, grid,
-                                          platform.pm, root);
+      const auto ms = model::measure_grid(ctx->soc, point.workload, grid,
+                                          hw::PowerMon{}, root);
       double best = 1e300;
       for (const auto& m : ms) best = std::min(best, m.energy_j);
 
       const std::size_t pick = model::predict_best_setting(
-          platform.model, time_model, point.workload.ops, grid);
+          ctx->model, time_model, point.workload.ops, grid);
       lost_pred.push_back(100.0 * (ms[pick].energy_j - best) / best);
 
-      const auto out = model::autotune(platform.model, ms);
+      const auto out = model::autotune(ctx->model, ms);
       lost_meas.push_back(out.model_lost_pct);
       lost_oracle.push_back(out.oracle_lost_pct);
     }

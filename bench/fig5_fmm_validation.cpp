@@ -12,7 +12,7 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
   const auto& settings = hw::table4_settings();
 
   std::cout << "Table IV: DVFS settings and FMM inputs used for "
@@ -47,10 +47,10 @@ int main() {
   for (const auto& in : bench::kFmmInputs) {
     const auto prof = bench::profile_fmm_input(in);
     for (std::size_t si = 0; si < settings.size(); ++si) {
-      const auto run = bench::run_fmm_profile(platform, prof, settings[si],
+      const auto run = bench::run_fmm_profile(*ctx, prof, settings[si],
                                               root.fork(in.id).fork(si));
       const double pred =
-          platform.model.predict_energy_j(run.ops, settings[si], run.time_s);
+          ctx->model.predict_energy_j(run.ops, settings[si], run.time_s);
       const double err = util::relative_error_pct(pred, run.energy_j);
       errors.push_back(err);
       const std::string label =

@@ -17,7 +17,7 @@
 int main() {
   using namespace eroof;
   using hw::OpClass;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
   const auto s1 = hw::setting(852, 924);
 
   std::cout << "Figure 6: FMM energy by operation type at maximum "
@@ -40,8 +40,8 @@ int main() {
     const auto total = prof.total(in.id);
     double time = 0;
     for (const auto& ph : prof.phases)
-      time += platform.soc.execution_time(ph.workload, s1);
-    const auto bd = model::breakdown(platform.model, total.ops, s1, time);
+      time += ctx->soc.execution_time(ph.workload, s1);
+    const auto bd = model::breakdown(ctx->model, total.ops, s1, time);
 
     const double dyn = bd.computation_j() + bd.data_j();
     const auto pct = [&](OpClass op) {

@@ -16,7 +16,7 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
+  const auto ctx = model::TuneContext::tegra_default();
   const auto& settings = hw::table4_settings();
 
   std::cout << "Figure 7: FMM energy split into computation / data / "
@@ -36,9 +36,9 @@ int main() {
     for (std::size_t si = 0; si < settings.size(); ++si) {
       double time = 0;
       for (const auto& ph : prof.phases)
-        time += platform.soc.execution_time(ph.workload, settings[si]);
+        time += ctx->soc.execution_time(ph.workload, settings[si]);
       const auto bd =
-          model::breakdown(platform.model, total.ops, settings[si], time);
+          model::breakdown(ctx->model, total.ops, settings[si], time);
       const double comp = 100.0 * bd.computation_j() / bd.total_j();
       const double data = 100.0 * bd.data_j() / bd.total_j();
       const double cons = 100.0 * bd.constant_j / bd.total_j();
@@ -68,9 +68,9 @@ int main() {
   std::vector<double> ub_shares;
   const auto s1 = hw::setting(852, 924);
   for (const auto& point : sweep) {
-    const double time = platform.soc.execution_time(point.workload, s1);
+    const double time = ctx->soc.execution_time(point.workload, s1);
     const auto bd =
-        model::breakdown(platform.model, point.workload.ops, s1, time);
+        model::breakdown(ctx->model, point.workload.ops, s1, time);
     ub_shares.push_back(100.0 * bd.constant_j / bd.total_j());
   }
   const auto us = util::summarize(ub_shares);

@@ -11,12 +11,13 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
-  const model::EnergyModel& m = platform.model;
+  const auto ctx = model::TuneContext::tegra_default();
+  const model::EnergyModel& m = ctx->model;
 
   std::cout << "Table I: frequency/voltage settings and derived energy "
                "costs (fitted by NNLS on "
-            << platform.campaign.size() << " samples)\n\n";
+            << ctx->samples(hw::SettingRole::kTrain).size()
+            << " training samples)\n\n";
 
   util::Table t({"Type", "Core freq. (MHz)", "Core volt. (mV)",
                  "Mem freq. (MHz)", "Mem volt. (mV)", "SP (pJ)", "DP (pJ)",

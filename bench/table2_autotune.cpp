@@ -16,8 +16,7 @@
 
 int main() {
   using namespace eroof;
-  const auto platform = bench::make_platform();
-  const auto grid = hw::full_grid();
+  const auto ctx = model::TuneContext::tegra_default();
   const util::RngStream root(101);
 
   std::cout << "Table II: energy autotuning -- fitted model vs time oracle "
@@ -39,9 +38,9 @@ int main() {
     std::vector<double> oracle_lost;
     for (const auto& point : sweep) {
       const auto ms =
-          model::measure_grid(platform.soc, point.workload, grid,
-                              platform.pm, root);
-      const auto out = model::autotune(platform.model, ms);
+          model::measure_grid(ctx->soc, point.workload, ctx->grid,
+                              hw::PowerMon{}, root);
+      const auto out = model::autotune(ctx->model, ms);
       if (!out.model_correct) {
         ++model_wrong;
         model_lost.push_back(out.model_lost_pct);

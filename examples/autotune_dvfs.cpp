@@ -8,27 +8,20 @@
 #include <sstream>
 
 #include "core/autotune.hpp"
-#include "core/fit.hpp"
-#include "hw/soc.hpp"
-#include "ubench/campaign.hpp"
+#include "core/schedule.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace eroof;
 
-  const auto soc = hw::Soc::tegra_k1();
+  // The shared tuning context: the paper campaign (seed 42) and the model
+  // fitted on its training half.
+  const auto ctx = model::TuneContext::tegra_default();
   const hw::PowerMon meter;
-  // Stream-split RNG roots: every measurement draws from a stream keyed by
+  // Stream-split RNG root: every measurement draws from a stream keyed by
   // its identity, so the printed table is bitwise-identical across
   // OMP_NUM_THREADS and grid iteration order.
   const util::RngStream root(42);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  const auto m = model::fit_energy_model(train).model;
-  const auto grid = hw::full_grid();
 
   std::cout << "Autotuning a SP kernel across arithmetic intensities "
                "(flops per DRAM word)\n\n";
@@ -51,8 +44,8 @@ int main() {
     w.compute_utilization = 0.95;
     w.memory_utilization = 0.9;
 
-    const auto ms = model::measure_grid(soc, w, grid, meter, root);
-    const auto out = model::autotune(m, ms);
+    const auto ms = model::measure_grid(ctx->soc, w, ctx->grid, meter, root);
+    const auto out = model::autotune(ctx->model, ms);
     t.add_row({util::Table::num(intensity, 2),
                ms[out.model_idx].setting.label(),
                ms[out.oracle_idx].setting.label(),

@@ -46,11 +46,6 @@ for b in build/bench/*; do
   "$b" 2>&1 | tee "reproduction/${name}.txt"
 done
 
-# Per-phase DVFS autotuning of the KIFMM proxy (fig_fmm_autotune.csv is
-# picked up by the fig*.csv move below).
-echo "== fmm_autotune =="
-./build/examples/fmm_autotune 2>&1 | tee reproduction/fmm_autotune.txt
-
 # Time-stepping dynamics demo: incremental refit vs rebuild decisions and
 # amortized schedule re-tuning over a Langevin trajectory.
 echo "== fmm_dynamics =="

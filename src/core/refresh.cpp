@@ -187,7 +187,8 @@ ClosedLoopScheduler::ClosedLoopScheduler(
     OnlineRefreshConfig cfg)
     : ctx_(std::move(ctx)),
       phases_(std::move(phases)),
-      refresh_(require_context(ctx_).model, cfg, ctx_->campaign) {
+      refresh_(require_context(ctx_).model, cfg,
+               ctx_->samples(hw::SettingRole::kTrain)) {
   EROOF_REQUIRE(!ctx_->grid.empty());
   EROOF_REQUIRE(!phases_.empty());
   install(false);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "trace/trace.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 
 namespace eroof::model {
@@ -32,18 +31,28 @@ bool dominated(const PhaseSchedule& a, const PhaseSchedule& b) {
 
 }  // namespace
 
-std::shared_ptr<const TuneContext> TuneContext::tegra_default() {
-  const auto soc = hw::Soc::tegra_k1();
-  const auto campaign =
-      ub::paper_campaign(soc, hw::PowerMon{}, util::RngStream(42));
-  std::vector<FitSample> train;
+std::vector<FitSample> TuneContext::samples(hw::SettingRole role) const {
+  std::vector<FitSample> out;
   for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(to_fit_sample(s.meas));
-  const EnergyModel model = fit_energy_model(train).model;
-  return std::make_shared<const TuneContext>(
-      TuneContext{soc, model, hw::full_grid(),
-                  hw::DvfsTransitionModel{100e-6, 50e-6}, std::move(train)});
+    if (s.role == role) out.push_back(to_fit_sample(s.meas));
+  return out;
+}
+
+std::vector<FitSample> TuneContext::all_samples() const {
+  std::vector<FitSample> out;
+  out.reserve(campaign.size());
+  for (const auto& s : campaign) out.push_back(to_fit_sample(s.meas));
+  return out;
+}
+
+std::shared_ptr<const TuneContext> TuneContext::tegra_default() {
+  auto ctx = std::make_shared<TuneContext>(
+      TuneContext{hw::Soc::tegra_k1(), EnergyModel{}, hw::full_grid(),
+                  hw::DvfsTransitionModel{100e-6, 50e-6}, {}});
+  ctx->campaign =
+      ub::paper_campaign(ctx->soc, hw::PowerMon{}, util::RngStream(42));
+  ctx->model = fit_energy_model(ctx->samples(hw::SettingRole::kTrain)).model;
+  return ctx;
 }
 
 PhaseGridPrediction predict_phase_grid(const EnergyModel& model,

@@ -37,21 +37,29 @@
 #include "core/fit.hpp"
 #include "core/model.hpp"
 #include "hw/soc.hpp"
+#include "ubench/campaign.hpp"
 
 namespace eroof::model {
 
 /// Everything the per-phase schedule search needs, fitted once and shared
 /// read-only by every caller (serving workers, dynamics engines, the closed
-/// loop): the SoC model, the energy model fitted from the paper campaign's
-/// training half, the DVFS grid, the transition-cost model, and the training
-/// samples the model was fitted from -- the closed loop's identifiability
-/// anchor. Hand-built contexts may leave `campaign` empty (no anchor).
+/// loop, the reproduction benches): the SoC model, the energy model fitted
+/// from the paper campaign's training half, the DVFS grid, the
+/// transition-cost model, and the whole campaign in measurement order (both
+/// roles) -- its training half is the closed loop's identifiability anchor.
+/// Hand-built contexts may leave `campaign` empty (no anchor).
 struct TuneContext {
   hw::Soc soc;
   EnergyModel model;
   std::vector<hw::DvfsSetting> grid;
   hw::DvfsTransitionModel transitions;
-  std::vector<FitSample> campaign;
+  std::vector<ub::Sample> campaign;
+
+  /// The campaign samples of one role, as regression samples, in
+  /// measurement order.
+  std::vector<FitSample> samples(hw::SettingRole role) const;
+  /// Every campaign sample, as a regression sample, in measurement order.
+  std::vector<FitSample> all_samples() const;
 
   /// Tegra K1 SoC, model fitted from the paper campaign (seed 42), full
   /// clock grid, realistic 100us/50uJ transitions.

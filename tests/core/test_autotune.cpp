@@ -4,21 +4,14 @@
 
 #include "util/require.hpp"
 
-#include "core/fit.hpp"
-#include "ubench/campaign.hpp"
+#include "core/schedule.hpp"
 
 namespace eroof::model {
 namespace {
 
-EnergyModel fitted_model() {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon pm;
-  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
-  std::vector<FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(to_fit_sample(s.meas));
-  return fit_energy_model(train).model;
+const EnergyModel& fitted_model() {
+  static const auto ctx = TuneContext::tegra_default();
+  return ctx->model;
 }
 
 TEST(Autotune, GridMeasurementCoversAllSettings) {

@@ -4,19 +4,14 @@
 
 #include "util/require.hpp"
 
-#include "ubench/campaign.hpp"
+#include "core/schedule.hpp"
 
 namespace eroof::model {
 namespace {
 
 std::vector<FitSample> campaign_samples(hw::SettingRole* filter = nullptr) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon pm;
-  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
-  std::vector<FitSample> out;
-  for (const auto& s : campaign)
-    if (!filter || s.role == *filter) out.push_back(to_fit_sample(s.meas));
-  return out;
+  static const auto ctx = TuneContext::tegra_default();
+  return filter ? ctx->samples(*filter) : ctx->all_samples();
 }
 
 TEST(CrossVal, PerfectModelValidatesWithNearZeroError) {

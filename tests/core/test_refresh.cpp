@@ -69,7 +69,10 @@ const std::shared_ptr<const TuneContext>& context() {
   return ctx;
 }
 
-const std::vector<FitSample>& campaign_train() { return context()->campaign; }
+const std::vector<FitSample>& campaign_train() {
+  static const auto train = context()->samples(hw::SettingRole::kTrain);
+  return train;
+}
 
 const EnergyModel& seed_model() { return context()->model; }
 

@@ -1,8 +1,8 @@
 // Per-phase DVFS scheduler (core/schedule): prediction-grid fidelity, exact
 // DP vs exhaustive search, transition-cost monotonicity (infinite switch
 // cost must collapse onto the uniform best), bitwise determinism across
-// OpenMP thread counts, and the ground-truth win over uniform/race-to-halt
-// on a real KIFMM profile.
+// OpenMP thread counts, the ground-truth win over uniform/race-to-halt on a
+// real KIFMM profile, and the shared TuneContext's campaign and fit.
 #include "core/schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -47,17 +47,8 @@ auto with_threads(int num_threads, Fn&& fn) {
 }
 
 const EnergyModel& fitted_model() {
-  static const EnergyModel m = [] {
-    const auto soc = hw::Soc::tegra_k1();
-    const hw::PowerMon pm;
-    const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
-    std::vector<FitSample> train;
-    for (const auto& s : campaign)
-      if (s.role == hw::SettingRole::kTrain)
-        train.push_back(to_fit_sample(s.meas));
-    return fit_energy_model(train).model;
-  }();
-  return m;
+  static const auto ctx = TuneContext::tegra_default();
+  return ctx->model;
 }
 
 // A deliberately heterogeneous phase chain: one compute-bound, one
@@ -471,6 +462,45 @@ TEST(Schedule, EmptyPhasesOrGridThrows) {
   EXPECT_THROW(
       predict_phase_grid(fitted_model(), soc, synthetic_phases(), empty_grid),
       util::ContractError);
+}
+
+bool same_fit_sample(const FitSample& a, const FitSample& b) {
+  return std::memcmp(a.ops.n.data(), b.ops.n.data(), sizeof(a.ops.n)) == 0 &&
+         a.setting.label() == b.setting.label() &&
+         bit_equal(a.time_s, b.time_s) && bit_equal(a.energy_j, b.energy_j);
+}
+
+// The shared context is the paper campaign (seed 42) and the NNLS fit of its
+// training half, bit for bit: every fixture and bench that reads it in place
+// of its own campaign -> train -> fit copy relies on this.
+TEST(TuneContext, TegraDefaultIsTheSeed42CampaignAndItsTrainingFit) {
+  const auto campaign = ub::paper_campaign(
+      hw::Soc::tegra_k1(), hw::PowerMon{}, util::RngStream(42));
+  std::vector<FitSample> train;
+  for (const auto& s : campaign)
+    if (s.role == hw::SettingRole::kTrain)
+      train.push_back(to_fit_sample(s.meas));
+  const EnergyModel ref = fit_energy_model(train).model;
+
+  const auto ctx = TuneContext::tegra_default();
+  for (std::size_t k = 0; k < kNumCoeffs; ++k)
+    EXPECT_TRUE(bit_equal(ctx->model.c0[k], ref.c0[k])) << "c0[" << k << "]";
+  EXPECT_TRUE(bit_equal(ctx->model.c1_proc, ref.c1_proc));
+  EXPECT_TRUE(bit_equal(ctx->model.c1_mem, ref.c1_mem));
+  EXPECT_TRUE(bit_equal(ctx->model.p_misc, ref.p_misc));
+
+  const auto got_train = ctx->samples(hw::SettingRole::kTrain);
+  ASSERT_EQ(got_train.size(), train.size());
+  for (std::size_t i = 0; i < train.size(); ++i)
+    EXPECT_TRUE(same_fit_sample(got_train[i], train[i])) << "train " << i;
+
+  ASSERT_EQ(ctx->campaign.size(), campaign.size());
+  for (std::size_t i = 0; i < campaign.size(); ++i) {
+    EXPECT_EQ(ctx->campaign[i].role, campaign[i].role) << "sample " << i;
+    EXPECT_TRUE(same_fit_sample(to_fit_sample(ctx->campaign[i].meas),
+                                to_fit_sample(campaign[i].meas)))
+        << "sample " << i;
+  }
 }
 
 }  // namespace

@@ -5,14 +5,13 @@
 #include "util/require.hpp"
 #include "util/stats.hpp"
 
-#include "ubench/campaign.hpp"
+#include "core/schedule.hpp"
 
 namespace eroof::model {
 namespace {
 
 struct Fitted {
-  hw::Soc soc = hw::Soc::tegra_k1();
-  hw::PowerMon pm;
+  hw::Soc soc;
   std::vector<FitSample> samples;
   TimeModel time;
   EnergyModel energy;
@@ -20,17 +19,9 @@ struct Fitted {
 
 const Fitted& fitted() {
   static const Fitted f = [] {
-    Fitted out;
-    const auto campaign =
-        ub::paper_campaign(out.soc, out.pm, util::RngStream(42));
-    std::vector<FitSample> train;
-    for (const auto& s : campaign) {
-      out.samples.push_back(to_fit_sample(s.meas));
-      if (s.role == hw::SettingRole::kTrain)
-        train.push_back(out.samples.back());
-    }
+    const auto ctx = TuneContext::tegra_default();
+    Fitted out{ctx->soc, ctx->all_samples(), {}, ctx->model};
     out.time = fit_time_model(out.samples).model;
-    out.energy = fit_energy_model(train).model;
     return out;
   }();
   return f;
