@@ -1,5 +1,6 @@
 #include "fmm/gpu_profile.hpp"
 
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -44,14 +45,15 @@ constexpr double kSmBroadcastFactor = 8.0;
 constexpr std::size_t kConcurrentBlocks = 16;
 
 /// Accesses a GMem logs before replaying them through the cache hierarchy.
-/// The bound keeps the log's footprint fixed (96 KiB) however long a phase
-/// runs, while each chunk still carries enough lines to split across
-/// threads.
+/// The bound keeps the log's footprint fixed (96 KiB; 32 KiB for a block
+/// log) however long a phase runs, while each chunk still carries enough
+/// lines to split across threads.
 constexpr std::size_t kLogChunk = 4096;
 
 /// Global-memory front end: tracks the phase's byte totals and logs every
 /// access, replaying the log through the cache hierarchy (on the caller's
-/// OpenMP threads) a chunk at a time.
+/// OpenMP threads) a chunk at a time. Runs of equal-sized block reads go
+/// to a log of their own, replayed by MemoryHierarchy::replay_blocks().
 class GMem {
  public:
   GMem() { log_.reserve(kLogChunk); }
@@ -61,6 +63,16 @@ class GMem {
   }
   void write(std::uint64_t addr, std::uint64_t bytes) {
     access(addr, bytes, true);
+  }
+
+  /// read(base, bytes), for a stream of reads of one size (the V phase's
+  /// spectra and M2L tensors).
+  void read_block(std::uint64_t base, std::uint64_t bytes) {
+    if (!log_.empty() || (!blocks_.empty() && bytes != block_bytes_)) flush();
+    read_bytes_ += static_cast<double>(bytes);
+    block_bytes_ = bytes;
+    blocks_.push_back(base);
+    if (blocks_.size() == kLogChunk) flush();
   }
 
   double read_bytes() const { return read_bytes_; }
@@ -74,23 +86,31 @@ class GMem {
 
   void reset() {
     log_.clear();
+    blocks_.clear();
     hier_.reset();
     read_bytes_ = write_bytes_ = 0;
   }
 
  private:
   void access(std::uint64_t addr, std::uint64_t bytes, bool write) {
+    if (!blocks_.empty()) flush();
     (write ? write_bytes_ : read_bytes_) += static_cast<double>(bytes);
     log_.push_back(hw::Access{addr, bytes, write});
     if (log_.size() == kLogChunk) flush();
   }
 
+  /// At most one of the two logs is non-empty.
   void flush() {
-    hier_.replay(log_);
+    if (!log_.empty()) hier_.replay(log_);
     log_.clear();
+    if (blocks_.empty()) return;
+    hier_.replay_blocks(blocks_, block_bytes_, false);
+    blocks_.clear();
   }
 
   std::vector<hw::Access> log_;
+  std::vector<std::uint64_t> blocks_;
+  std::uint64_t block_bytes_ = 0;
   hw::MemoryHierarchy hier_;
   double read_bytes_ = 0;
   double write_bytes_ = 0;
@@ -310,37 +330,45 @@ class Profiler {
         if (!lists_.v[static_cast<std::size_t>(b)].empty())
           v_targets.push_back(b);
 
-      const auto pair_rel = [&](int b, int s) {
-        const auto bc = tree_.node(b).key.coords();
-        const auto sc = tree_.node(s).key.coords();
-        return Operators::rel_index(
-                   static_cast<int>(bc[0]) - static_cast<int>(sc[0]),
-                   static_cast<int>(bc[1]) - static_cast<int>(sc[1]),
-                   static_cast<int>(bc[2]) - static_cast<int>(sc[2]))
-            .value();
-      };
-
+      // Direction-sorted per-target work queues, reused from group to
+      // group. A V list's sources share the target's level, so each
+      // direction holds at most one and a pass over the 343 directions
+      // sorts a queue.
+      std::vector<std::vector<std::pair<std::size_t, int>>> queues(
+          kConcurrentBlocks);
+      std::array<int, 343> by_rel;
       for (std::size_t g0 = 0; g0 < v_targets.size();
            g0 += kConcurrentBlocks) {
-        const std::size_t g1 =
-            std::min(g0 + kConcurrentBlocks, v_targets.size());
-        // Direction-sorted per-target work queues.
-        std::vector<std::vector<std::pair<std::size_t, int>>> queues;
+        const std::size_t group =
+            std::min(kConcurrentBlocks, v_targets.size() - g0);
         std::size_t max_len = 0;
-        for (std::size_t t = g0; t < g1; ++t) {
-          const int b = v_targets[t];
-          std::vector<std::pair<std::size_t, int>> queue;
-          for (const int s : lists_.v[static_cast<std::size_t>(b)])
-            queue.emplace_back(pair_rel(b, s), s);
-          std::sort(queue.begin(), queue.end());
+        for (std::size_t t = 0; t < group; ++t) {
+          const int b = v_targets[g0 + t];
+          const auto bc = tree_.node(b).key.coords();
+          by_rel.fill(-1);
+          for (const int s : lists_.v[static_cast<std::size_t>(b)]) {
+            const auto sc = tree_.node(s).key.coords();
+            const std::size_t rel =
+                Operators::rel_index(
+                    static_cast<int>(bc[0]) - static_cast<int>(sc[0]),
+                    static_cast<int>(bc[1]) - static_cast<int>(sc[1]),
+                    static_cast<int>(bc[2]) - static_cast<int>(sc[2]))
+                    .value();
+            EROOF_REQUIRE(by_rel[rel] < 0);
+            by_rel[rel] = s;
+          }
+          auto& queue = queues[t];
+          queue.clear();
+          for (std::size_t rel = 0; rel < by_rel.size(); ++rel)
+            if (by_rel[rel] >= 0) queue.emplace_back(rel, by_rel[rel]);
           max_len = std::max(max_len, queue.size());
-          queues.push_back(std::move(queue));
         }
         for (std::size_t k = 0; k < max_len; ++k) {
-          for (auto& queue : queues) {
+          for (std::size_t t = 0; t < group; ++t) {
+            const auto& queue = queues[t];
             if (k >= queue.size()) continue;
-            gmem_.read(spectrum_addr(queue[k].second), 8 * g_);
-            gmem_.read(tensor_addr(l, queue[k].first), 8 * g_);
+            gmem_.read_block(spectrum_addr(queue[k].second), 8 * g_);
+            gmem_.read_block(tensor_addr(l, queue[k].first), 8 * g_);
             acc.sp += 8.0 * gd;  // complex multiply-accumulate per element
             acc.ints += 8.0 * gd * kIntPerFlop * 0.5;
             acc.sm_read_words += 2.0 * gd;

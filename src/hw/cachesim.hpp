@@ -10,11 +10,18 @@
 // split by the address bits the L1 and L2 set indices share: no two
 // partitions touch a common set, so each set sees exactly its serial
 // access sequence and every tally is bitwise the serial one (DESIGN.md §7).
+//
+// A stream of equal, disjoint blocks that each span the L1 way (one line in
+// every L1 set) can instead be replayed on one LRU list of blocks per class
+// of sets that see the same blocks, from the point where the sets of each
+// class share one recency order; the lists are then written back as tags
+// (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,6 +71,23 @@ class Cache {
   /// Address bits [set_shift(), set_shift() + set_bits()) select the set.
   unsigned set_shift() const { return line_shift_; }
   unsigned set_bits() const { return set_bits_; }
+  std::uint64_t num_sets() const { return num_sets_; }
+
+  /// Marks an unfilled way. No real tag reaches it: the constructor
+  /// requires line_bytes * num_sets >= 2, so tags have at most 63 bits.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// The recency order the `count` sets from `first` on (cyclically) have
+  /// in common, if any: way by way, either every set's way is empty, or
+  /// the i-th set holds line key + i. Returns the keys (the lines in set
+  /// `first`; kEmpty for an empty way), most recently used first.
+  std::optional<std::vector<std::uint64_t>> common_order(
+      std::uint64_t first, std::uint64_t count) const;
+
+  /// Gives the `count` sets from `first` on the order `keys`, as
+  /// common_order() reads it.
+  void assign_order(std::uint64_t first, std::uint64_t count,
+                    std::span<const std::uint64_t> keys);
 
   /// Invalidates all lines and zeroes statistics.
   void reset();
@@ -73,10 +97,6 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
 
  private:
-  /// Marks an unfilled way. No real tag reaches it: the constructor
-  /// requires line_bytes * num_sets >= 2, so tags have at most 63 bits.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
   CacheConfig cfg_;
   std::uint64_t num_sets_;
   unsigned line_shift_;
@@ -128,8 +148,21 @@ class MemoryHierarchy {
   /// The L1 lines are split into partitions() classes by the shared
   /// set-index bits, and the caller's OpenMP threads each replay a
   /// contiguous range of classes, jumping straight to their own lines.
-  /// With one thread (or one partition) this is the serial loop.
+  /// With one thread, one partition or a log of under 1024 lines, this
+  /// is the serial loop.
   void replay(std::span<const Access> log);
+
+  /// Simulates one access(base, bytes, write) per entry of `bases`, in
+  /// order: every tally and every set ends as those calls leave them.
+  /// When `bytes` is the L1 way span, the bases are line-aligned and
+  /// disjoint, and the blocks split the L2 sets into few classes, each
+  /// class runs on one LRU list of blocks from the entry where its sets'
+  /// common order is known (at once, if they already share one); the
+  /// entries before the last such point run per line, as in replay().
+  /// Otherwise all of it runs as replay(). Returns the number of entries
+  /// the per-class lists simulated (0 when none did).
+  std::size_t replay_blocks(std::span<const std::uint64_t> bases,
+                            std::uint64_t bytes, bool write);
 
   /// Number of disjoint set partitions replay() can use: 2^(number of
   /// address bits in both set indices); 1 if the indices share none.
@@ -160,6 +193,7 @@ class MemoryHierarchy {
     std::uint64_t dram_write = 0;
 
     Tally& operator+=(const Tally& o);
+    Tally& operator-=(const Tally& o);
   };
 
   /// L1 lines of one partition key come in runs of run_lines() consecutive
@@ -173,6 +207,11 @@ class MemoryHierarchy {
   /// contiguous key range [k0, k1) is the window [k0, k1) * run_lines().
   Tally replay_window(std::span<const Access> log, std::uint64_t lo_off,
                       std::uint64_t hi_off);
+
+  /// replay() of one access(base, bytes, write) per entry of `bases`, a
+  /// chunk at a time.
+  void replay_each(std::span<const std::uint64_t> bases, std::uint64_t bytes,
+                   bool write);
 
   /// The part of access(addr, bytes, write) that falls in L1 line `line`.
   void touch_line(Tally& t, std::uint64_t line, std::uint64_t addr,

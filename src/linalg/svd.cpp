@@ -39,12 +39,14 @@ Svd svd_tall(const Matrix& a) {
   std::vector<double> v(n * n, 0.0);
   for (std::size_t j = 0; j < n; ++j) v[j * n + j] = 1.0;
 
-  const double eps = std::numeric_limits<double>::epsilon();
   const double tol = 1e-14;
   const int max_sweeps = 60;
 
+  // A sweep that rotates nothing leaves W and V as they are, so every later
+  // sweep would repeat it: the first idle sweep ends the iteration with the
+  // factors bitwise those of running all max_sweeps.
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
+    bool rotated = false;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       double* wp = w.data() + p * m;
       double* vp = v.data() + p * n;
@@ -59,7 +61,6 @@ Svd svd_tall(const Matrix& a) {
           gamma += wp[i] * wq[i];
         }
         if (alpha * beta == 0.0) continue;
-        off = std::max(off, std::abs(gamma) / std::sqrt(alpha * beta));
         if (std::abs(gamma) <= tol * std::sqrt(alpha * beta)) continue;
 
         // Jacobi rotation zeroing the (p,q) inner product.
@@ -70,9 +71,10 @@ Svd svd_tall(const Matrix& a) {
         const double s = c * t;
         rotate(wp, wq, m, c, s);
         rotate(vp, v.data() + q * n, n, c, s);
+        rotated = true;
       }
     }
-    if (off < 10 * eps) break;
+    if (!rotated) break;
   }
 
   // Extract singular values (column norms) and normalize U's columns.

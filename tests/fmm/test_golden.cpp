@@ -3,7 +3,8 @@
 // hashes were recorded from the straightforward row-major Jacobi SVD and
 // the serial one-access-at-a-time cache replay; every faster layout or
 // parallel schedule of either must reproduce them bit for bit, at any
-// OpenMP thread count.
+// OpenMP thread count. gaussian_p6 and uniform_4096_p5 were recorded from
+// the SVD that always ran 60 sweeps and the per-line V replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -64,6 +65,9 @@ TEST(SvdGolden, CheckToEquivalentFactorsAndPseudoInverses) {
        0x6cc71f2d010638cdULL},
       {"gaussian_p5", 5, 0x2ad46c0b02571997ULL,
        0x2730f5622735c00dULL},
+      // The slowest to converge: its last rotation lands in sweep 29.
+      {"gaussian_p6", 6, 0xf96ba5c5aaf71574ULL,
+       0x4dcc2fb502eee8ffULL},
   };
   for (const int threads : {1, 2, 4}) {
     with_threads(threads, [&] {
@@ -105,23 +109,31 @@ FmmEvaluator golden_evaluator(std::string_view name) {
   if (name == "uniform_32768") {
     pts = uniform_cube(32768, rng);
     params.uniform_depth = Octree::uniform_depth_for(pts.size(), kQ);
+  } else if (name == "uniform_4096_p5") {
+    pts = uniform_cube(4096, rng);
+    params.uniform_depth = Octree::uniform_depth_for(pts.size(), kQ);
   } else if (name == "clusters_8192") {
     pts = gaussian_clusters(8192, 8, 0.05, rng);
   } else {
     pts = sphere_surface(4096, rng);
   }
-  return FmmEvaluator(kernel, pts, params, FmmConfig{.p = 4});
+  const int p = name.ends_with("_p5") ? 5 : 4;
+  return FmmEvaluator(kernel, pts, params, FmmConfig{.p = p});
 }
 
 TEST(GpuProfileGolden, EveryCounterMatchesTheRecordedHash) {
+  // The p = 4 trees take the V phase's block replay, with spectra bases
+  // 0, 2048 and 2560 mod 4 KiB; at p = 5 a spectrum is 8000 B, so V falls
+  // back to the per-line replay.
   const ProfileGoldenCase cases[] = {
       {"uniform_32768", 0x5a4c1dff8d3818e7ULL},
       {"clusters_8192", 0xfa33ba5f0f8d5cf8ULL},
       {"sphere_adaptive_4096", 0x2527e5ff3e97a84eULL},
+      {"uniform_4096_p5", 0xc5286a3711ab4743ULL},
   };
   for (const auto& c : cases) {
     const FmmEvaluator ev = golden_evaluator(c.name);
-    if (c.name != std::string_view("uniform_32768")) {
+    if (!std::string_view(c.name).starts_with("uniform")) {
       // The adaptive trees must exercise the W and X replays too.
       const auto prof = profile_gpu_execution(ev);
       EXPECT_GT(prof.phases[3].counters.get("gld_request"), 0.0) << c.name;
