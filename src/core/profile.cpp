@@ -35,15 +35,4 @@ EnergyBreakdown breakdown(const EnergyModel& model, const hw::OpCounts& ops,
   return b;
 }
 
-PhaseProfile aggregate(const std::vector<PhaseProfile>& phases,
-                       std::string name) {
-  PhaseProfile total;
-  total.name = std::move(name);
-  for (const auto& p : phases) {
-    total.ops += p.ops;
-    total.time_s += p.time_s;
-  }
-  return total;
-}
-
 }  // namespace eroof::model

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <array>
-#include <string>
-#include <vector>
 
 #include "core/model.hpp"
 
@@ -28,17 +26,5 @@ struct EnergyBreakdown {
 /// Prices `ops` executed in `time_s` at setting `s` under `model`.
 EnergyBreakdown breakdown(const EnergyModel& model, const hw::OpCounts& ops,
                           const hw::DvfsSetting& s, double time_s);
-
-/// A named program phase with its counter-derived counts and measured time
-/// (the FMM evaluator emits one of these per phase).
-struct PhaseProfile {
-  std::string name;
-  hw::OpCounts ops;
-  double time_s = 0;
-};
-
-/// Aggregates phases into one profile (sums counts and times).
-PhaseProfile aggregate(const std::vector<PhaseProfile>& phases,
-                       std::string name = "total");
 
 }  // namespace eroof::model

@@ -287,51 +287,7 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
   return cmp;
 }
 
-const PhaseSchedule& ScheduleMemo::schedule_for_plan(
-    const std::string& plan_key,
-    const std::function<PhaseSchedule()>& compute) {
-  // Counter bumps happen outside mu_: trace::counter_add acquires the
-  // process-wide trace mutex, and holding mu_ across it would stall every
-  // other memo lookup behind an unrelated tracing lock. Entries are never
-  // removed, so returning a reference read under the lock stays valid.
-  {
-    const PhaseSchedule* hit = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = memo_.find(plan_key);
-      if (it != memo_.end()) hit = it->second.get();
-    }
-    if (hit != nullptr) {
-      trace::counter_add("core.schedule_memo.hit", 1.0);
-      return *hit;
-    }
-  }
-  // Compute outside the lock; `compute` is deterministic, so if two threads
-  // race on a fresh key both produce the same schedule and the loser's copy
-  // is simply dropped.
-  auto result = std::make_unique<PhaseSchedule>(compute());
-  const PhaseSchedule* out = nullptr;
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto [it, ins] = memo_.try_emplace(plan_key, std::move(result));
-    inserted = ins;
-    out = it->second.get();
-  }
-  trace::counter_add(inserted ? "core.schedule_memo.miss"
-                              : "core.schedule_memo.hit",
-                     1.0);
-  return *out;
-}
-
-std::size_t ScheduleMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
-}
-
-void ScheduleReuse::install(PhaseSchedule schedule,
-                            std::span<const double> phase_work) {
-  schedule_ = std::move(schedule);
+void ScheduleReuse::install(std::span<const double> phase_work) {
   work0_.assign(phase_work.begin(), phase_work.end());
   ++stats_.installs;
   trace::counter_add("core.schedule_reuse.install", 1.0);

@@ -26,12 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fit.hpp"
@@ -182,37 +179,13 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
                                       const hw::DvfsTransitionModel& transitions,
                                       double time_weight = 0);
 
-/// Memoized schedule-DP results keyed by a serving plan key (the string the
-/// plan cache keys on: kernel, accuracy, depth, domain). The schedule
-/// search -- GPU-profile prediction grid + chain DP -- depends only on the
-/// plan, not on one request's points, so its result is cached here and
-/// survives plan-cache eviction: a re-built plan skips the search entirely.
-///
-/// Thread-safe. The first caller for a key computes outside the lock (the
-/// search can take milliseconds); racing computations of the same key are
-/// harmless because `compute` must be deterministic -- the first insert
-/// wins and duplicates are dropped. Returned references are stable for the
-/// memo's lifetime (entries are never evicted; distinct plans are few).
-class ScheduleMemo {
- public:
-  const PhaseSchedule& schedule_for_plan(
-      const std::string& plan_key,
-      const std::function<PhaseSchedule()>& compute);
-
-  /// Number of memoized keys (observability / tests).
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<PhaseSchedule>> memo_;
-};
-
 /// Amortizes the schedule search across a *sequence* of correlated runs --
 /// a time-stepping dynamics loop, where consecutive steps' phase workloads
-/// drift slowly. The expensive part (GPU-profile replay + prediction grid +
-/// chain DP) runs once and is install()ed together with the per-phase
-/// structural work it was tuned for; every subsequent step asks
-/// needs_retune() with its own work vector, a cheap allocation-free check.
+/// drift slowly. A pure drift monitor: the caller owns the schedule. The
+/// expensive part (GPU-profile replay + prediction grid + chain DP) runs
+/// once, and the caller install()s the per-phase structural work it was
+/// tuned for; every subsequent step asks needs_retune() with its own work
+/// vector, a cheap allocation-free check.
 ///
 /// The drift monitor: at a fixed DVFS setting the roofline-predicted phase
 /// time scales linearly in the phase's structural work, so the relative
@@ -220,17 +193,17 @@ class ScheduleMemo {
 /// and the time the current step would actually spend there is
 /// |w_p / w0_p - 1|. When the max over phases exceeds `bound`, the
 /// installed picks may no longer be energy-optimal and the caller re-runs
-/// the search. This is ROADMAP item 4's control-loop trigger specialized to
-/// workload drift (model drift plugs into the same hook).
+/// the search. Model drift is the closed loop's trigger (DESIGN.md §14);
+/// the dynamics engine rebaselines this monitor after either.
 class ScheduleReuse {
  public:
   /// `bound`: maximum tolerated per-phase relative work divergence.
   explicit ScheduleReuse(double bound = 0.10) : bound_(bound) {}
 
-  /// Adopts a freshly searched schedule and the per-phase work (any scalar
-  /// proportional to phase time at a fixed setting; the dynamics engine
-  /// feeds FmmStats tallies) it was tuned against.
-  void install(PhaseSchedule schedule, std::span<const double> phase_work);
+  /// Rebaselines on the per-phase work (any scalar proportional to phase
+  /// time at a fixed setting; the dynamics engine feeds FmmStats tallies)
+  /// a freshly searched schedule was tuned against.
+  void install(std::span<const double> phase_work);
 
   bool installed() const { return !work0_.empty(); }
 
@@ -250,7 +223,6 @@ class ScheduleReuse {
   /// tally would read as zero divergence and pin the stale schedule forever.
   double divergence(std::span<const double> phase_work) const;
 
-  const PhaseSchedule& schedule() const { return schedule_; }
   double bound() const { return bound_; }
 
   struct Stats {
@@ -263,7 +235,6 @@ class ScheduleReuse {
 
  private:
   double bound_;
-  PhaseSchedule schedule_;
   std::vector<double> work0_;
   Stats stats_;
 };

@@ -101,7 +101,7 @@ void DynamicsEngine::retune() {
   else
     loop_.emplace(cfg_.tuning.context, std::move(phases),
                   cfg_.tuning.refresh.online);
-  reuse_->install(loop_->schedule(), work_);
+  reuse_->install(work_);
 }
 
 }  // namespace eroof::dynamics

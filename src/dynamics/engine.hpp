@@ -90,10 +90,10 @@ class DynamicsEngine {
   fmm::FmmSession& session() { return session_; }
   const fmm::FmmSession& session() const { return session_; }
 
-  /// The installed per-phase schedule; null until the first tuned step (or
-  /// always, with tuning off).
+  /// The installed per-phase schedule, owned by the closed loop; null until
+  /// the first tuned step (or always, with tuning off).
   const model::PhaseSchedule* schedule() const {
-    return reuse_ && reuse_->installed() ? &reuse_->schedule() : nullptr;
+    return loop_ ? &loop_->schedule() : nullptr;
   }
   const model::ScheduleReuse* schedule_reuse() const {
     return reuse_ ? &*reuse_ : nullptr;
@@ -125,8 +125,9 @@ class DynamicsEngine {
   fmm::FmmSession session_;
   std::vector<double> phi_;
   double energy_ = 0;
+  /// Work-drift monitor: decides when retune() runs; holds no schedule.
   std::optional<model::ScheduleReuse> reuse_;
-  /// The installed schedule's owner: emplaced by the first retune(),
+  /// The installed schedule's one owner: emplaced by the first retune(),
   /// retarget()ed by every later one, stepped only with refresh on.
   std::optional<model::ClosedLoopScheduler> loop_;
   /// Per-phase structural work of the last evaluation, UP,U,V,W,X,DOWN --

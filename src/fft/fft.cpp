@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <numbers>
+#include <vector>
 
 #include "util/require.hpp"
 
@@ -12,6 +12,13 @@ namespace eroof::fft {
 namespace {
 
 constexpr std::size_t kMaxButterflyPrime = 61;
+
+/// Smallest power of two >= n.
+std::size_t next_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
 
 std::vector<std::size_t> factorize(std::size_t n) {
   std::vector<std::size_t> fs;
@@ -225,39 +232,6 @@ void Plan::inverse(std::span<cplx> data) const {
   impl_->forward(data);
   const double inv = 1.0 / static_cast<double>(impl_->n);
   for (auto& v : data) v = std::conj(v) * inv;
-}
-
-namespace {
-
-const Plan& cached_plan(std::size_t n) {
-  static std::map<std::size_t, Plan> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) it = cache.emplace(n, Plan(n)).first;
-  return it->second;
-}
-
-}  // namespace
-
-void fft(std::span<cplx> data) { cached_plan(data.size()).forward(data); }
-void ifft(std::span<cplx> data) { cached_plan(data.size()).inverse(data); }
-
-std::vector<cplx> circular_convolve(std::span<const cplx> a,
-                                    std::span<const cplx> b) {
-  EROOF_REQUIRE(a.size() == b.size() && !a.empty());
-  std::vector<cplx> fa(a.begin(), a.end());
-  std::vector<cplx> fb(b.begin(), b.end());
-  const Plan& plan = cached_plan(a.size());
-  plan.forward(fa);
-  plan.forward(fb);
-  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= fb[i];
-  plan.inverse(fa);
-  return fa;
-}
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 }  // namespace eroof::fft

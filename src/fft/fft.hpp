@@ -10,14 +10,13 @@
 //   * Bluestein's chirp-z algorithm for sizes with large prime factors,
 //     reducing them to a power-of-two convolution.
 //
-// Plans precompute twiddle tables and are cached per size; transforms are
-// O(n log n) for smooth n.
+// Plans precompute twiddle tables and are owned by their callers;
+// transforms are O(n log n) for smooth n.
 #pragma once
 
 #include <complex>
 #include <memory>
 #include <span>
-#include <vector>
 
 namespace eroof::fft {
 
@@ -51,18 +50,5 @@ class Plan {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// One-shot forward/inverse transforms using an internal per-size plan cache.
-/// The cache is guarded for single-threaded use (all callers in this project
-/// plan up-front in hot paths).
-void fft(std::span<cplx> data);
-void ifft(std::span<cplx> data);
-
-/// Circular convolution of equal-length sequences via FFT.
-std::vector<cplx> circular_convolve(std::span<const cplx> a,
-                                    std::span<const cplx> b);
-
-/// Smallest power of two >= n.
-std::size_t next_pow2(std::size_t n);
 
 }  // namespace eroof::fft

@@ -47,7 +47,6 @@ class FmmPlan {
                                            FmmConfig cfg = {});
 
   const Kernel& kernel() const { return *kernel_; }
-  const std::shared_ptr<const Kernel>& kernel_ptr() const { return kernel_; }
   const FmmConfig& config() const { return ops_.config(); }
   double root_half() const { return root_half_; }
   int max_depth() const { return max_depth_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "util/require.hpp"
@@ -165,13 +164,6 @@ Matrix pinv_tikhonov(const Matrix& a, double eps) {
   for (std::size_t i = 0; i < f.s.size(); ++i)
     sinv[i] = f.s[i] / (f.s[i] * f.s[i] + lambda2);
   return pinv_from_svd(f, std::move(sinv));
-}
-
-double cond2(const Matrix& a) {
-  Svd f = svd(a);
-  const double smin = f.s.back();
-  if (smin == 0.0) return std::numeric_limits<double>::infinity();
-  return f.s.front() / smin;
 }
 
 }  // namespace eroof::la

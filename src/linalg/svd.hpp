@@ -30,7 +30,4 @@ Matrix pinv(const Matrix& a, double rcond = 1e-12);
 /// (Ying, Biros & Zorin 2004 use a backward-stable variant of the same idea).
 Matrix pinv_tikhonov(const Matrix& a, double eps);
 
-/// 2-norm condition number (s_max / s_min); inf if s_min == 0.
-double cond2(const Matrix& a);
-
 }  // namespace eroof::la

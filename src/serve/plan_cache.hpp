@@ -1,13 +1,13 @@
-// The serving plan cache: (kernel, accuracy q, tree depth) -> ServePlan.
+// The serving plan cache: (kernel, accuracy q, tree depth) -> FmmPlan.
 //
-// A ServePlan is everything reusable across requests that resolve to the
-// same key: the FmmPlan (per-level operators + shared M2L bank). A cache
-// hit therefore skips operator construction; the per-request remainder
-// (tree, lists, arenas, the solve itself) is what the worker still
-// executes. The schedule-DP result lives in model::ScheduleMemo keyed by
-// (plan key, point count) -- not here, because the profiled phase
-// workloads depend on the request size, so one plan legitimately maps to
-// several schedules.
+// A plan is everything reusable across requests that resolve to the same
+// key: per-level operators and the shared M2L bank. A cache hit therefore
+// skips operator construction; the per-request remainder (tree, lists,
+// arenas, the solve itself) is what the worker still executes. The
+// server's schedule cache is a second LruCache keyed by the plan key plus
+// the point count -- not this one, because the profiled phase workloads
+// depend on the request size, so one plan legitimately maps to several
+// schedules.
 //
 // Key contents: kernel spec (kind + parameter bits), surface order p,
 // max points per box Q, tree depth, and the domain bits -- every input the
@@ -36,12 +36,6 @@ std::string plan_cache_key(const KernelSpec& spec, int p,
                            std::uint32_t max_points_per_box, int depth,
                            const fmm::Box& domain);
 
-/// One cached unit of reuse.
-struct ServePlan {
-  std::string key;
-  std::shared_ptr<const fmm::FmmPlan> plan;
-};
-
-using PlanCache = ShardedLruCache<ServePlan>;
+using PlanCache = LruCache<fmm::FmmPlan>;
 
 }  // namespace eroof::serve

@@ -60,11 +60,12 @@ enum class ServeStatus : std::uint8_t {
 /// ServeStatus::kInvalid, so kError is left for real server faults.
 std::string validate_request(const FmmRequest& req);
 
-/// The chosen per-phase DVFS schedule, in the canonical phase order
-/// UP,V,X,DOWN,U,W. Empty when the server runs without a schedule context.
+/// The chosen per-phase DVFS schedule, in profile_gpu_execution's phase
+/// order UP,U,V,W,X,DOWN. Empty when the server runs without a schedule
+/// context.
 ///
 /// Determinism scope: only `potentials` carries the bitwise serving
-/// contract. The schedule is memoized per (plan key, point count) and
+/// contract. The schedule is cached per (plan key, point count) and
 /// profiled from the first request that reaches that pair, so two
 /// same-sized requests with different point *distributions* share the
 /// first arrival's schedule -- representative-based by design (the DP

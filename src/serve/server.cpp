@@ -20,6 +20,15 @@ std::int64_t now_us() {
       .count();
 }
 
+std::shared_ptr<const fmm::FmmPlan> build_plan(const FmmRequest& req,
+                                               const fmm::Octree& tree) {
+  trace::ScopedSpan span("serve.plan_build", "serve");
+  fmm::FmmConfig fcfg;
+  fcfg.p = req.p;
+  return std::make_shared<const fmm::FmmPlan>(
+      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
+}
+
 }  // namespace
 
 std::string validate_request(const FmmRequest& req) {
@@ -53,7 +62,6 @@ FmmServer::FmmServer(ServerConfig cfg)
     : cfg_(cfg),
       queue_(cfg.queue_capacity),
       cache_({.capacity = cfg.plan_cache_capacity,
-              .shards = cfg.plan_cache_shards,
               .counter_prefix = "serve.plan_cache"}) {
   EROOF_REQUIRE_MSG(cfg_.workers >= 1, "FmmServer needs >= 1 worker");
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -191,37 +199,37 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
   const std::string key =
       plan_cache_key(req.kernel, req.p, req.max_points_per_box,
                      tree.max_depth(), tree.domain());
-  const PlanCache::Result cached = cache_.get_or_build(
-      key, [&] { return build_plan(key, req, tree); });
-  const ServePlan& sp = *cached.value;
+  const PlanCache::Result cached =
+      cache_.get_or_build(key, [&] { return build_plan(req, tree); });
 
-  fmm::FmmEvaluator ev(sp.plan, std::move(tree));
+  fmm::FmmEvaluator ev(cached.value, std::move(tree));
 
   if (cfg_.schedule_ctx) {
     const ScheduleContext& ctx = *cfg_.schedule_ctx;
-    // Memoized per (plan key, point count), not per plan key alone: the
+    // Cached per (plan key, point count), not per plan key alone: the
     // profiled phase workloads depend on the request's size, so keying by
     // plan key only would make the reported schedule depend on which
     // request happened to build the plan (arrival order / cache state).
     // With N in the key, every repeat of a request shape reads the same
-    // memo entry. The residual representative-ness (same-N requests with
-    // different point *distributions* share the first arrival's schedule)
-    // is documented on ServeSchedule; only potentials are bitwise.
+    // entry, and a repeat that races the first build waits for it. The
+    // residual representative-ness (same-N requests with different point
+    // *distributions* share the first arrival's schedule) is documented on
+    // ServeSchedule; only potentials are bitwise.
     const std::string skey =
         key + "|n=" + std::to_string(req.points.size());
-    const model::PhaseSchedule& sched =
-        schedule_memo_.schedule_for_plan(skey, [&] {
-          const auto phases = fmm::profile_gpu_execution(ev).workloads();
-          const auto pred =
-              model::predict_phase_grid(ctx.model, ctx.soc, phases, ctx.grid);
-          return model::schedule_phases(pred, ctx.transitions);
-        });
-    resp.schedule.setting_labels.reserve(sched.pick.size());
-    for (const std::size_t pick : sched.pick)
+    const auto sched = schedules_.get_or_build(skey, [&] {
+      const auto phases = fmm::profile_gpu_execution(ev).workloads();
+      const auto pred =
+          model::predict_phase_grid(ctx.model, ctx.soc, phases, ctx.grid);
+      return std::make_shared<const model::PhaseSchedule>(
+          model::schedule_phases(pred, ctx.transitions));
+    }).value;
+    resp.schedule.setting_labels.reserve(sched->pick.size());
+    for (const std::size_t pick : sched->pick)
       resp.schedule.setting_labels.push_back(ctx.grid[pick].label());
-    resp.schedule.pred_time_s = sched.pred_time_s;
-    resp.schedule.pred_energy_j = sched.pred_energy_j;
-    resp.schedule.switches = sched.switches;
+    resp.schedule.pred_time_s = sched->pred_time_s;
+    resp.schedule.pred_energy_j = sched->pred_energy_j;
+    resp.schedule.switches = sched->switches;
   }
 
   resp.potentials = ev.evaluate(req.densities);
@@ -233,19 +241,6 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
   served_.fetch_add(1, std::memory_order_relaxed);  // eroof-lint: allow(relaxed-atomic)
   trace::counter_add("serve.served", 1.0);
   return resp;
-}
-
-std::shared_ptr<const ServePlan> FmmServer::build_plan(
-    const std::string& key, const FmmRequest& req, const fmm::Octree& tree) {
-  trace::ScopedSpan span("serve.plan_build", "serve");
-
-  fmm::FmmConfig fcfg;
-  fcfg.p = req.p;
-  auto sp = std::make_shared<ServePlan>();
-  sp->key = key;
-  sp->plan = std::make_shared<const fmm::FmmPlan>(
-      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
-  return sp;
 }
 
 }  // namespace eroof::serve

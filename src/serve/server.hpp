@@ -6,11 +6,11 @@
 // request's plan. The headline mechanism is the plan cache: requests that
 // resolve to the same (kernel, accuracy, depth) key share one FmmPlan --
 // per-level operators and the M2L bank -- so a cache hit skips operator
-// construction. The schedule-DP result is memoized separately per (plan
-// key, point count): the first request with that shape profiles its phase
-// workloads and runs the DP once, priced with the shared model::TuneContext
-// the dynamics engine and the closed loop use too; every repeat of the
-// shape skips the search.
+// construction. The schedule-DP result sits in a second cache of the same
+// kind, keyed per (plan key, point count): the first request with that
+// shape profiles its phase workloads and runs the DP once, priced with the
+// shared model::TuneContext the dynamics engine and the closed loop use
+// too; every repeat of the shape waits for or reads that one result.
 //
 // Serving contract: each response's potentials are bitwise identical to a
 // fresh single-threaded FmmEvaluator run on the same request, independent
@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -46,7 +47,6 @@ struct ServerConfig {
   int workers = 1;
   std::size_t queue_capacity = 64;  ///< admission-control bound
   std::size_t plan_cache_capacity = 16;  ///< 0 = no caching (cold mode)
-  std::size_t plan_cache_shards = 4;
   std::shared_ptr<const ScheduleContext> schedule_ctx;  ///< may be null
 };
 
@@ -82,7 +82,6 @@ class FmmServer {
     PlanCache::Stats cache;
   };
   Stats stats() const;
-  std::size_t queue_depth() const { return queue_.depth(); }
   const ServerConfig& config() const { return cfg_; }
 
  private:
@@ -99,14 +98,15 @@ class FmmServer {
   FmmResponse serve_guarded(FmmRequest req);
   FmmResponse serve_one(FmmRequest req);
   FmmResponse invalid_response(std::uint64_t id, std::string reason);
-  std::shared_ptr<const ServePlan> build_plan(const std::string& key,
-                                              const FmmRequest& req,
-                                              const fmm::Octree& tree);
 
   ServerConfig cfg_;
   BoundedQueue<Job> queue_;
   PlanCache cache_;
-  model::ScheduleMemo schedule_memo_;
+  /// Schedules per (plan key, point count). Never evicts: schedules are
+  /// tiny, and re-running the search is not.
+  LruCache<model::PhaseSchedule> schedules_{
+      {.capacity = std::numeric_limits<std::size_t>::max(),
+       .counter_prefix = "core.schedule_memo"}};
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> shed_{0};

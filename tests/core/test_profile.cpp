@@ -68,23 +68,6 @@ TEST(Profile, DramCostsMostPerWord) {
     EXPECT_GT(b.op_energy_j[dram], b.op_energy_j[i]);
 }
 
-TEST(Profile, AggregateSumsCountsAndTimes) {
-  PhaseProfile a;
-  a.name = "U";
-  a.ops[hw::OpClass::kSpFlop] = 10;
-  a.time_s = 0.5;
-  PhaseProfile b;
-  b.name = "V";
-  b.ops[hw::OpClass::kSpFlop] = 5;
-  b.ops[hw::OpClass::kDramAccess] = 7;
-  b.time_s = 0.25;
-  const PhaseProfile total = aggregate({a, b}, "all");
-  EXPECT_EQ(total.name, "all");
-  EXPECT_DOUBLE_EQ(total.ops[hw::OpClass::kSpFlop], 15);
-  EXPECT_DOUBLE_EQ(total.ops[hw::OpClass::kDramAccess], 7);
-  EXPECT_DOUBLE_EQ(total.time_s, 0.75);
-}
-
 TEST(Profile, ZeroTimeThrows) {
   const EnergyModel m = sample_model();
   const hw::OpCounts ops;

@@ -367,7 +367,7 @@ TEST(ScheduleReuse, ReusesUntilDriftExceedsBound) {
   std::vector<double> w0 = {100.0, 50.0, 200.0, 10.0};
   EXPECT_TRUE(reuse.needs_retune(w0));
 
-  reuse.install(PhaseSchedule{}, w0);
+  reuse.install(w0);
   ASSERT_TRUE(reuse.installed());
   EXPECT_FALSE(reuse.needs_retune(w0));  // zero drift
 
@@ -394,14 +394,14 @@ TEST(ScheduleReuse, NaNWorkForcesRetune) {
   // Non-finite work must read as infinite divergence instead.
   ScheduleReuse reuse(0.10);
   std::vector<double> w0 = {100.0, 50.0};
-  reuse.install(PhaseSchedule{}, w0);
+  reuse.install(w0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(std::isinf(reuse.divergence(std::vector<double>{100.0, nan})));
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{100.0, nan}));
   // Inf work, and a NaN *installed* baseline, are equally poisoned.
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{inf, 50.0}));
-  reuse.install(PhaseSchedule{}, std::vector<double>{nan, 50.0});
+  reuse.install(std::vector<double>{nan, 50.0});
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{100.0, 50.0}));
   // All three were comparable-size checks: retunes, not incompatibles.
   EXPECT_EQ(reuse.stats().retunes, 3u);
@@ -418,7 +418,7 @@ TEST(ScheduleReuse, IncompatibleBaselineCountedApartFromRetunes) {
   EXPECT_EQ(reuse.stats().incompatible, 1u);
   EXPECT_EQ(reuse.stats().retunes, 0u);
 
-  reuse.install(PhaseSchedule{}, std::vector<double>{1.0, 2.0});
+  reuse.install(std::vector<double>{1.0, 2.0});
   // Phase count changed: incompatible again, not an ordinary retune.
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(reuse.stats().incompatible, 2u);
@@ -436,7 +436,7 @@ TEST(ScheduleReuse, DivergenceHandlesDegenerateWork) {
   // A phase with zero installed work that stays zero is ignored; one that
   // becomes nonzero is infinite drift (the installed schedule never priced
   // it at all).
-  reuse.install(PhaseSchedule{}, std::vector<double>{10.0, 0.0});
+  reuse.install(std::vector<double>{10.0, 0.0});
   EXPECT_EQ(reuse.divergence(std::vector<double>{10.0, 0.0}), 0.0);
   EXPECT_TRUE(std::isinf(reuse.divergence(std::vector<double>{10.0, 1.0})));
   // Size mismatch can never be "close enough".
@@ -445,9 +445,9 @@ TEST(ScheduleReuse, DivergenceHandlesDegenerateWork) {
 
 TEST(ScheduleReuse, ReinstallRebaselines) {
   ScheduleReuse reuse(0.10);
-  reuse.install(PhaseSchedule{}, std::vector<double>{100.0});
+  reuse.install(std::vector<double>{100.0});
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{200.0}));
-  reuse.install(PhaseSchedule{}, std::vector<double>{200.0});
+  reuse.install(std::vector<double>{200.0});
   EXPECT_FALSE(reuse.needs_retune(std::vector<double>{201.0}));
   EXPECT_EQ(reuse.stats().installs, 2u);
 }

@@ -63,9 +63,8 @@ double operator_builds(const trace::TraceSession& session) {
 // potentials bitwise-identical between the incremental session and a fresh
 // evaluator, across OMP thread counts {1, 2, 4}. The fresh-evaluator
 // reference is computed once (it is thread-count invariant, which
-// test_invariance pins); each session run is compared against it. (The
-// "AndExecutors" name dates from when a second executor existed.)
-TEST(FmmSession, ThirtyTwoStepDifferentialAcrossThreadsAndExecutors) {
+// test_invariance pins); each session run is compared against it.
+TEST(FmmSession, ThirtyTwoStepDifferentialAcrossThreadCounts) {
   constexpr std::size_t kN = 1200;
   constexpr int kSteps = 32;
   const Octree::Params tp{.max_points_per_box = 32, .domain = kDomain};

@@ -187,8 +187,7 @@ TEST(EdgeCases, DomainBoundaryPointsAreAcceptedAndBinHighest) {
 // The phase sweeps consume the octree and its interaction lists as-is, so
 // the structural invariants they lean on (leaves are never empty; every v/w
 // source carries an expansion slot) and the pathological shapes (depth-0
-// single leaf, a single-occupied-octant chain) get explicit coverage. (The
-// "UnderBothExecutors" names date from when a second executor existed.)
+// single leaf, a single-occupied-octant chain) get explicit coverage.
 
 TEST(EdgeCases, LeavesAreNeverEmpty) {
   // The octree only materializes non-empty children (including during
@@ -226,7 +225,7 @@ TEST(EdgeCases, LeavesAreNeverEmpty) {
   }
 }
 
-TEST(EdgeCases, SingleLeafDepthZeroTreeUnderBothExecutors) {
+TEST(EdgeCases, SingleLeafDepthZeroTreeMatchesDirectSum) {
   // Few points, large Q: the tree is one root leaf at level 0. No node
   // carries an expansion, so only the U sweep contributes.
   util::Rng rng(76);
@@ -242,7 +241,7 @@ TEST(EdgeCases, SingleLeafDepthZeroTreeUnderBothExecutors) {
   EXPECT_LT(rel_l2_error(phi, ref), 1e-9);
 }
 
-TEST(EdgeCases, AllPointsInOneOctantChainUnderBothExecutors) {
+TEST(EdgeCases, AllPointsInOneOctantChainMatchesDirectSum) {
   // Nearly every point inside one octant of one octant ...: a lone anchor
   // point at the far corner pins the (point-fitted) root box, so the upper
   // tree is a chain of levels holding almost nothing but the cluster's

@@ -126,15 +126,5 @@ TEST(SvdGolden, WideRandomMatrixFactorsAndPseudoInverses) {
   EXPECT_EQ(h.value(), 0x595260f7da01fb57ULL);
 }
 
-TEST(Cond2, IdentityIsOne) {
-  EXPECT_NEAR(cond2(Matrix::identity(5)), 1.0, 1e-12);
-}
-
-TEST(Cond2, SingularIsInfinite) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;  // second row zero
-  EXPECT_TRUE(std::isinf(cond2(a)));
-}
-
 }  // namespace
 }  // namespace eroof::la

@@ -490,15 +490,13 @@ TEST(LintBinary, RealTreeHasNoStaleAllowsUnderStrict) {
   EXPECT_EQ(r.exit_code, 0) << r.out;
 }
 
-TEST(LintBinary, ScheduleMemoStaysFreeOfBlockingUnderLock) {
-  // Pins the fix for the genuine finding the whole-program pass surfaced:
-  // ScheduleMemo::schedule_for_plan used to call trace::counter_add (which
-  // acquires the process-wide trace mutex) while holding its own memo lock.
-  // The counters are now bumped outside the critical section; this gate
-  // keeps the pattern from coming back.
-  const std::string schedule =
-      std::string(EROOF_LINT_FIXTURES) + "/../../../src/core/schedule.cpp";
-  const auto r = run_lint(schedule);
+TEST(LintBinary, BuildOnceCacheStaysFreeOfBlockingUnderLock) {
+  // LruCache::get_or_build must make its trace::counter_add calls (each
+  // acquires the process-wide trace mutex) after its critical section; this
+  // gate fails if one moves back under the cache lock.
+  const std::string cache =
+      std::string(EROOF_LINT_FIXTURES) + "/../../../src/serve/cache.hpp";
+  const auto r = run_lint(cache);
   EXPECT_EQ(count_lines_containing(r.out, "conc-blocking-under-lock"), 0u)
       << r.out;
 }

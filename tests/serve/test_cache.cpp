@@ -1,4 +1,4 @@
-// ShardedLruCache: hit/miss/eviction accounting (atomics and trace
+// LruCache: hit/miss/eviction accounting (atomics and trace
 // registry), LRU eviction order under a tiny capacity, build-once under
 // concurrent get_or_build of one key, builder-exception retry, and the
 // capacity-0 bypass mode.
@@ -25,7 +25,7 @@ std::shared_ptr<const int> boxed(int v) {
 TEST(ShardedLruCache, HitMissAccounting) {
   trace::TraceSession session;
   trace::SessionGuard guard(session);
-  ShardedLruCache<int> cache({.capacity = 4, .shards = 2});
+  LruCache<int> cache({.capacity = 4});
 
   auto first = cache.get_or_build("a", [] { return boxed(1); });
   EXPECT_FALSE(first.hit);
@@ -46,8 +46,7 @@ TEST(ShardedLruCache, HitMissAccounting) {
 }
 
 TEST(ShardedLruCache, LruEvictionUnderTinyCapacity) {
-  // One shard so eviction order is exactly global LRU.
-  ShardedLruCache<int> cache({.capacity = 2, .shards = 1});
+  LruCache<int> cache({.capacity = 2});
   (void)cache.get_or_build("a", [] { return boxed(1); });
   (void)cache.get_or_build("b", [] { return boxed(2); });
   (void)cache.get_or_build("a", [] { return boxed(0); });  // a now MRU
@@ -64,14 +63,14 @@ TEST(ShardedLruCache, LruEvictionUnderTinyCapacity) {
 }
 
 TEST(ShardedLruCache, EvictedValueSurvivesForHolders) {
-  ShardedLruCache<int> cache({.capacity = 1, .shards = 1});
+  LruCache<int> cache({.capacity = 1});
   auto a = cache.get_or_build("a", [] { return boxed(1); }).value;
   (void)cache.get_or_build("b", [] { return boxed(2); });  // evicts a
   EXPECT_EQ(*a, 1);  // still alive: eviction only drops the cache's ref
 }
 
 TEST(ShardedLruCache, ConcurrentGetOrBuildBuildsExactlyOnce) {
-  ShardedLruCache<int> cache({.capacity = 4, .shards = 2});
+  LruCache<int> cache({.capacity = 4});
   std::atomic<int> builds{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -102,7 +101,7 @@ TEST(ShardedLruCache, ConcurrentGetOrBuildBuildsExactlyOnce) {
 }
 
 TEST(ShardedLruCache, BuilderExceptionPropagatesAndEntryRetries) {
-  ShardedLruCache<int> cache({.capacity = 4, .shards = 1});
+  LruCache<int> cache({.capacity = 4});
   EXPECT_THROW(
       (void)cache.get_or_build(
           "a", []() -> std::shared_ptr<const int> {
@@ -121,7 +120,7 @@ TEST(ShardedLruCache, FailedBuildDoesNotDropAReplacementEntry) {
   // the same key. When the original build then fails, cleanup must leave
   // the fresh, healthy entry alone (generation check in drop()); erasing
   // it would force a redundant rebuild.
-  ShardedLruCache<int> cache({.capacity = 1, .shards = 1});
+  LruCache<int> cache({.capacity = 1});
   EXPECT_THROW(
       (void)cache.get_or_build(
           "K",
@@ -145,7 +144,7 @@ TEST(ShardedLruCache, FailedBuildDoesNotDropAReplacementEntry) {
 }
 
 TEST(ShardedLruCache, CapacityZeroBypassesCaching) {
-  ShardedLruCache<int> cache({.capacity = 0, .shards = 1});
+  LruCache<int> cache({.capacity = 0});
   int builds = 0;
   for (int i = 0; i < 3; ++i) {
     auto r = cache.get_or_build("a", [&] {
