@@ -88,6 +88,7 @@ struct FmmResponse {
   // Observability.
   std::string plan_key;   ///< the plan-cache key this request resolved to
   bool cache_hit = false;  ///< true if the plan was served from the cache
+  int threads = 0;        ///< OpenMP team size the solve ran with
   double queue_us = 0;    ///< time from admission to a worker claiming it
   double service_us = 0;  ///< time inside the worker (solve + respond)
   std::string error;      ///< reason when status is kInvalid / kError

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -28,6 +29,34 @@ std::shared_ptr<const fmm::FmmPlan> build_plan(const FmmRequest& req,
   return std::make_shared<const fmm::FmmPlan>(
       make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
 }
+
+/// One solve's share of a server's OpenMP thread budget: whatever the other
+/// in-flight solves leave free, and never fewer than one thread. Taking it
+/// is one compare-exchange loop on the shared count, with no mutex;
+/// destruction gives it back, so no path out of a solve leaks threads.
+class ThreadGrant {
+ public:
+  ThreadGrant(std::atomic<int>& held, std::atomic<int>& peak, int budget)
+      : held_(held) {
+    int before = held_.load();
+    do {
+      threads_ = std::max(1, budget - before);
+    } while (!held_.compare_exchange_weak(before, before + threads_));
+    const int now = before + threads_;
+    int seen = peak.load();
+    while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~ThreadGrant() { held_.fetch_sub(threads_); }
+  ThreadGrant(const ThreadGrant&) = delete;
+  ThreadGrant& operator=(const ThreadGrant&) = delete;
+
+  int threads() const { return threads_; }
+
+ private:
+  std::atomic<int>& held_;
+  int threads_ = 1;
+};
 
 }  // namespace
 
@@ -62,7 +91,8 @@ FmmServer::FmmServer(ServerConfig cfg)
     : cfg_(cfg),
       queue_(cfg.queue_capacity),
       cache_({.capacity = cfg.plan_cache_capacity,
-              .counter_prefix = "serve.plan_cache"}) {
+              .counter_prefix = "serve.plan_cache"}),
+      thread_budget_(std::max(1, omp_get_max_threads())) {
   EROOF_REQUIRE_MSG(cfg_.workers >= 1, "FmmServer needs >= 1 worker");
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
@@ -129,23 +159,30 @@ FmmServer::Stats FmmServer::stats() const {
           shed_.load(std::memory_order_relaxed),      // eroof-lint: allow(relaxed-atomic)
           invalid_.load(std::memory_order_relaxed),   // eroof-lint: allow(relaxed-atomic)
           errors_.load(std::memory_order_relaxed),    // eroof-lint: allow(relaxed-atomic)
-          cache_.stats()};
+          cache_.stats(),
+          peak_threads_.load()};
 }
 
 void FmmServer::worker_main() {
-  // Each solve runs single-threaded; serving parallelism comes from
-  // concurrent requests, and per-request work stays deterministic no matter
-  // how many co-tenants run. The num-threads ICV is per-thread, so this
-  // only serializes *this* worker's OpenMP regions.
-  omp_set_num_threads(1);
+  // Each claimed job takes the share of the thread budget that the other
+  // in-flight solves leave free, at least one thread: a lone request solves
+  // on every core, and concurrent ones split them, overshooting the budget
+  // by at most workers - 1 threads. The num-threads ICV is per-thread, so
+  // this sizes only *this* worker's OpenMP teams, and the evaluator's bits
+  // do not depend on the team size. The grant goes back before the promise
+  // is set, so a closed-loop client's next request can take it.
   // eroof: hot-begin -- steady-state serving loop: no allocation beyond the
   // per-request evaluator state, no locks beyond the queue handoff.
   while (auto job = queue_.pop()) {
     const std::int64_t claimed_us = now_us();
-    // eroof: cold (per-request solve: builds the request's own evaluator and
-    // response, which allocate by design; the evaluator's steady-state
-    // zero-alloc contract is enforced by its own hot regions)
-    FmmResponse resp = serve_guarded(std::move(job->req));
+    FmmResponse resp = [&] {
+      const ThreadGrant grant(threads_held_, peak_threads_, thread_budget_);
+      omp_set_num_threads(grant.threads());
+      // eroof: cold (per-request solve: builds the request's own evaluator
+      // and response, which allocate by design; the evaluator's
+      // steady-state zero-alloc contract is enforced by its own hot regions)
+      return serve_guarded(std::move(job->req));
+    }();
     resp.queue_us = static_cast<double>(claimed_us - job->enqueued_us);
     job->promise.set_value(std::move(resp));
   }
@@ -183,6 +220,7 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
 
   FmmResponse resp;
   resp.id = req.id;
+  resp.threads = omp_get_max_threads();
   EROOF_REQUIRE_MSG(!req.points.empty(), "request has no points");
   EROOF_REQUIRE_MSG(req.densities.size() == req.points.size(),
                     "densities/points size mismatch");

@@ -14,14 +14,22 @@
 //
 // Serving contract: each response's potentials are bitwise identical to a
 // fresh single-threaded FmmEvaluator run on the same request, independent
-// of worker count, arrival order, and cache hits vs misses. The pieces that
-// guarantee it: the fixed protocol domain (tree geometry is a function of
-// the request, not of co-tenants), per-worker OpenMP serialization (each
-// solve runs single-threaded; parallelism comes from concurrent requests),
-// and plans whose per-level operators are built/rescaled independently of
-// the request that triggered the build.
+// of worker count, thread grant, arrival order, and cache hits vs misses.
+// The pieces that guarantee it: the fixed protocol domain (tree geometry is
+// a function of the request, not of co-tenants), an evaluator and a GPU
+// profile whose bits do not depend on the OpenMP team size, and plans whose
+// per-level operators are built/rescaled independently of the request that
+// triggered the build.
+//
+// Thread budget: the server reads omp_get_max_threads() of the thread that
+// constructs it (so OMP_NUM_THREADS applies) and shares that many OpenMP
+// threads among its workers. A worker that claims a job takes whatever the
+// in-flight solves leave free, at least one thread, and gives it back when
+// the solve ends: a lone request solves on every core, and concurrent ones
+// split them, with at most workers - 1 threads over the budget.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <limits>
@@ -67,7 +75,8 @@ class FmmServer {
   std::future<FmmResponse> submit(FmmRequest req);
 
   /// Serves one request synchronously on the calling thread, against the
-  /// same plan cache. The benchmark's single-threaded reference path.
+  /// same caches, at the caller's OpenMP thread count; the thread budget
+  /// does not apply. The benchmark pre-warms the caches through it.
   FmmResponse serve_now(FmmRequest req);
 
   /// Stops admission, drains queued requests, joins the workers. Idempotent;
@@ -80,6 +89,7 @@ class FmmServer {
     std::uint64_t invalid = 0;  ///< rejected by validate_request at admission
     std::uint64_t errors = 0;   ///< solves that failed server-side (kError)
     PlanCache::Stats cache;
+    int peak_threads = 0;  ///< most threads held at once by worker solves
   };
   Stats stats() const;
   const ServerConfig& config() const { return cfg_; }
@@ -107,6 +117,9 @@ class FmmServer {
   LruCache<model::PhaseSchedule> schedules_{
       {.capacity = std::numeric_limits<std::size_t>::max(),
        .counter_prefix = "core.schedule_memo"}};
+  const int thread_budget_;
+  std::atomic<int> threads_held_{0};  ///< sum of the in-flight grants
+  std::atomic<int> peak_threads_{0};
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> shed_{0};

@@ -292,6 +292,38 @@ TEST(LintConcurrency, UnlockBeforeBlockingCallIsClean) {
   EXPECT_TRUE(violations(rep).empty());
 }
 
+TEST(LintConcurrency, UnlockInsideABranchReleasesThatBranchOnly) {
+  // The hit branch's unlock() covers the hit branch; the eviction tally and
+  // the wait after it still run under the guard.
+  const auto rep = lint_file(fixture("bad_branch_unlock.cpp"), Options{});
+  const std::vector<std::pair<int, std::string>> expected = {
+      {35, "conc-blocking-under-lock"},
+      {46, "conc-blocking-under-lock"},
+  };
+  EXPECT_EQ(violations(rep), expected);
+  for (const auto& f : rep.findings)
+    EXPECT_NE(f.message.find(f.line == 35 ? "at line 22" : "at line 41"),
+              std::string::npos)
+        << f.message;
+}
+
+TEST(LintConcurrency, UnlockAtScopeDepthOutlivesANestedBlock) {
+  const auto rep = lint_content("f.cpp",
+                                "void f(bool x) {\n"
+                                "  std::unique_lock<std::mutex> lk(mu);\n"
+                                "  lk.unlock();\n"
+                                "  if (x) { g(); }\n"
+                                "  std::this_thread::sleep_for(d);\n"
+                                "  lk.lock();\n"
+                                "  std::this_thread::sleep_for(d);\n"
+                                "}\n",
+                                Options{});
+  const std::vector<std::pair<int, std::string>> expected = {
+      {7, "conc-blocking-under-lock"},
+  };
+  EXPECT_EQ(violations(rep), expected);
+}
+
 TEST(LintConcurrency, RelaxedAtomicAllowIsAnAuditedSuppression) {
   const auto rep = lint_content(
       "f.cpp",

@@ -1,8 +1,9 @@
 // FmmServer end-to-end: the serving contract (every response bitwise
 // identical to a fresh single-threaded FmmEvaluator run, independent of
-// worker count, arrival order, and cache hits vs misses), admission-control
-// shedding, plan-cache accounting through the server, and the DVFS schedule
-// attached to responses.
+// worker count, thread grant, arrival order, and cache hits vs misses), the
+// workers' shared OpenMP thread budget, admission-control shedding,
+// plan-cache accounting through the server, and the DVFS schedule attached
+// to responses.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -15,6 +16,7 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +71,28 @@ std::vector<double> reference_solve(const FmmRequest& req) {
   return phi;
 }
 
+/// Sets the calling thread's OpenMP thread count for one scope: the thread
+/// budget of a server constructed inside it, and the team size of its
+/// serve_now calls.
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int n) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(n);
+  }
+  ~ScopedOmpThreads() { omp_set_num_threads(saved_); }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// A server whose workers share a budget of `budget` OpenMP threads.
+std::unique_ptr<FmmServer> make_server(const ServerConfig& cfg, int budget) {
+  const ScopedOmpThreads threads(budget);
+  return std::make_unique<FmmServer>(cfg);
+}
+
 TEST(FmmServer, ResponsesBitwiseMatchFreshEvaluatorAcrossWorkerCounts) {
   const WorkloadConfig wl = small_workload();
   constexpr std::uint64_t kRequests = 8;
@@ -79,28 +103,118 @@ TEST(FmmServer, ResponsesBitwiseMatchFreshEvaluatorAcrossWorkerCounts) {
     want.push_back(reference_solve(requests.back()));
   }
 
-  for (const int workers : {1, 2, 4}) {
-    for (const std::size_t capacity : {std::size_t{0}, std::size_t{16}}) {
-      ServerConfig cfg;
-      cfg.workers = workers;
-      cfg.queue_capacity = kRequests;
-      cfg.plan_cache_capacity = capacity;
-      FmmServer server(cfg);
-      // Reversed submission order: arrival order must not matter.
-      std::vector<std::future<FmmResponse>> futures(kRequests);
-      for (std::size_t i = kRequests; i-- > 0;)
-        futures[i] = server.submit(requests[i]);
-      for (std::size_t i = 0; i < kRequests; ++i) {
-        const FmmResponse resp = futures[i].get();
-        ASSERT_EQ(resp.status, ServeStatus::kOk);
-        EXPECT_EQ(resp.id, requests[i].id);
-        EXPECT_TRUE(bitwise_equal(resp.potentials, want[i]))
-            << "request " << i << " workers=" << workers
-            << " cache_capacity=" << capacity;
+  for (const int budget : {1, 3}) {
+    for (const int workers : {1, 2, 4}) {
+      for (const std::size_t capacity : {std::size_t{0}, std::size_t{16}}) {
+        ServerConfig cfg;
+        cfg.workers = workers;
+        cfg.queue_capacity = kRequests;
+        cfg.plan_cache_capacity = capacity;
+        const auto server = make_server(cfg, budget);
+        // Reversed submission order: arrival order must not matter.
+        std::vector<std::future<FmmResponse>> futures(kRequests);
+        for (std::size_t i = kRequests; i-- > 0;)
+          futures[i] = server->submit(requests[i]);
+        for (std::size_t i = 0; i < kRequests; ++i) {
+          const FmmResponse resp = futures[i].get();
+          ASSERT_EQ(resp.status, ServeStatus::kOk);
+          EXPECT_EQ(resp.id, requests[i].id);
+          EXPECT_GE(resp.threads, 1);
+          EXPECT_LE(resp.threads, budget);
+          EXPECT_TRUE(bitwise_equal(resp.potentials, want[i]))
+              << "request " << i << " workers=" << workers
+              << " cache_capacity=" << capacity << " budget=" << budget;
+        }
+        const auto stats = server->stats();
+        EXPECT_EQ(stats.served, kRequests);
+        EXPECT_EQ(stats.shed, 0u);
       }
-      const auto stats = server.stats();
-      EXPECT_EQ(stats.served, kRequests);
-      EXPECT_EQ(stats.shed, 0u);
+    }
+  }
+}
+
+TEST(FmmServer, LoneRequestTakesTheWholeThreadBudget) {
+  const WorkloadConfig wl = small_workload();
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 4;
+  const auto server = make_server(cfg, 3);
+  // Two lone requests in a row: the first one's grant has come back by the
+  // time its response does.
+  for (const std::uint64_t i : {0u, 1u}) {
+    const FmmRequest req = make_request(wl, i);
+    const FmmResponse resp = server->submit(req).get();
+    ASSERT_EQ(resp.status, ServeStatus::kOk);
+    EXPECT_EQ(resp.threads, 3);
+    EXPECT_TRUE(bitwise_equal(resp.potentials, reference_solve(req)));
+  }
+  EXPECT_EQ(server->stats().peak_threads, 3);
+}
+
+TEST(FmmServer, ConcurrentGrantsStayWithinBudgetPlusWorkersMinusOne) {
+  const WorkloadConfig wl = small_workload();
+  constexpr int kBudget = 4;
+  constexpr int kWorkers = 4;
+  constexpr std::uint64_t kRequests = 24;
+  ServerConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.queue_capacity = kRequests;
+  const auto server = make_server(cfg, kBudget);
+  std::vector<std::future<FmmResponse>> futures;
+  for (std::uint64_t i = 0; i < kRequests; ++i)
+    futures.push_back(server->submit(make_request(wl, i)));
+  for (auto& f : futures) {
+    const FmmResponse resp = f.get();
+    ASSERT_EQ(resp.status, ServeStatus::kOk);
+    EXPECT_GE(resp.threads, 1);
+    EXPECT_LE(resp.threads, kBudget);
+  }
+  // Each grant is what the others leave free, or one thread when nothing
+  // is: the in-flight sum tops out at the budget plus one per other worker.
+  const auto stats = server->stats();
+  EXPECT_GE(stats.peak_threads, kBudget);
+  EXPECT_LE(stats.peak_threads, kBudget + kWorkers - 1);
+  // Every grant came back: a lone request after the burst gets them all.
+  const FmmResponse lone = server->submit(make_request(wl, 0)).get();
+  ASSERT_EQ(lone.status, ServeStatus::kOk);
+  EXPECT_EQ(lone.threads, kBudget);
+}
+
+TEST(FmmServer, BudgetedWorkerSchedulesMatchOneThreadServeNow) {
+  // The schedule half of the contract: every serve_steady-style shape,
+  // profiled and scheduled on a worker's multi-threaded team, picks the
+  // same settings with the same predictions as at one thread.
+  const auto ctx = ScheduleContext::tegra_default();
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 4;
+  cfg.schedule_ctx = ctx;
+  const auto budgeted = make_server(cfg, 4);
+  FmmServer single(cfg);
+  const ScopedOmpThreads one_thread(1);
+
+  for (const std::size_t n : {1024, 4096, 8192}) {
+    WorkloadConfig wl;
+    wl.sizes = {n};
+    wl.max_points_per_box = 64;
+    // Request index mod 3 picks cube, sphere surface or clusters.
+    for (const std::uint64_t shape : {0u, 1u, 2u}) {
+      const FmmRequest req = make_request(wl, shape);
+      const FmmResponse got = budgeted->submit(req).get();
+      const FmmResponse want = single.serve_now(req);
+      ASSERT_EQ(got.status, ServeStatus::kOk);
+      ASSERT_EQ(want.status, ServeStatus::kOk);
+      EXPECT_EQ(got.threads, 4);
+      EXPECT_EQ(want.threads, 1);
+      const ServeSchedule& a = got.schedule;
+      const ServeSchedule& b = want.schedule;
+      ASSERT_EQ(a.setting_labels.size(), 6u);
+      EXPECT_EQ(a.setting_labels, b.setting_labels)
+          << "n=" << n << " shape " << shape;
+      EXPECT_TRUE(bitwise_equal({a.pred_time_s}, {b.pred_time_s}));
+      EXPECT_TRUE(bitwise_equal({a.pred_energy_j}, {b.pred_energy_j}));
+      EXPECT_EQ(a.switches, b.switches);
+      EXPECT_TRUE(bitwise_equal(got.potentials, want.potentials));
     }
   }
 }

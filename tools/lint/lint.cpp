@@ -414,6 +414,125 @@ const BlockingOp kBlockingOps[] = {
                                        "the process-wide trace mutex)"},
 };
 
+/// The first RAII lock-guard declaration on a line: its position (npos when
+/// there is none) and the guard variable's name.
+struct GuardDecl {
+  std::size_t pos = std::string::npos;
+  std::string var;
+};
+
+GuardDecl find_guard_decl(std::string_view code) {
+  GuardDecl d;
+  for (const auto& g : {"std::lock_guard", "std::unique_lock",
+                        "std::scoped_lock", "std::shared_lock"}) {
+    const std::size_t pos = find_token(code, g);
+    if (pos == std::string::npos) continue;
+    if (d.pos == std::string::npos || pos < d.pos) {
+      d.pos = pos;
+      // Variable name: after the type (and optional template args).
+      std::size_t p = pos + std::string_view(g).size();
+      if (p < code.size() && code[p] == '<') {
+        const std::size_t q = skip_template_args(code, p);
+        if (q != std::string::npos) p = q;
+      }
+      while (p < code.size() && code[p] == ' ') ++p;
+      const std::size_t b = p;
+      while (p < code.size() && ident_char(code[p])) ++p;
+      d.var = std::string(code.substr(b, p - b));
+    }
+  }
+  return d;
+}
+
+/// Brace depth at `pos` on a line that starts at depth `depth`.
+int depth_at(std::string_view code, std::size_t pos, int depth) {
+  for (std::size_t k = 0; k < pos && k < code.size(); ++k) {
+    if (code[k] == '{') ++depth;
+    if (code[k] == '}') --depth;
+  }
+  return depth;
+}
+
+/// Lock scopes for conc-blocking-under-lock, fed one line at a time. A scope
+/// opens at a RAII guard declaration and closes when brace depth drops
+/// below the depth at the declaration. An explicit `var.unlock()` releases
+/// it until the block holding the unlock closes -- an unlock inside a
+/// branch releases that branch only, because the path that skips the
+/// branch still holds the lock -- or until `var.lock()` re-acquires it
+/// (std::unique_lock round trip).
+class LockScopes {
+ public:
+  bool held() const {
+    for (const auto& s : scopes_)
+      if (s.active) return true;
+    return false;
+  }
+
+  /// Declaration line of the innermost held scope (0 when none is held).
+  int held_since() const {
+    int line = 0;
+    for (const auto& s : scopes_)
+      if (s.active) line = s.decl_line;
+    return line;
+  }
+
+  /// Applies the line's unlock()/lock() calls; `depth` is the brace depth
+  /// at the start of the line.
+  void release_and_reacquire(std::string_view code, int depth) {
+    const std::size_t upos = find_member_call(code, "unlock");
+    if (upos != std::string::npos) {
+      const std::string var = receiver(code, upos);
+      LockScope* hit = nullptr;
+      for (auto it = scopes_.rbegin(); it != scopes_.rend() && !hit; ++it)
+        if (it->active && (it->var == var || var.empty())) hit = &*it;
+      if (!hit && !scopes_.empty()) hit = &scopes_.back();
+      if (hit) {
+        hit->active = false;
+        hit->released_depth = depth_at(code, upos, depth);
+      }
+    }
+    const std::size_t lpos = find_member_call(code, "lock");
+    if (lpos != std::string::npos) {
+      const std::string var = receiver(code, lpos);
+      for (auto& s : scopes_)
+        if (!s.active && s.var == var && !var.empty()) s.active = true;
+    }
+  }
+
+  void open(int line, int depth_at_decl, std::string var) {
+    scopes_.push_back(LockScope{line, depth_at_decl, std::move(var), true, 0});
+  }
+
+  /// A block closed, leaving brace depth `depth`: scopes declared inside it
+  /// end, and unlocks made inside it stop covering what follows.
+  void close_to(int depth) {
+    scopes_.erase(std::remove_if(scopes_.begin(), scopes_.end(),
+                                 [&](const LockScope& s) {
+                                   return s.depth > depth;
+                                 }),
+                  scopes_.end());
+    for (auto& s : scopes_)
+      if (!s.active && s.released_depth > depth) s.active = true;
+  }
+
+ private:
+  struct LockScope {
+    int decl_line;
+    int depth;  // brace depth at the declaration
+    std::string var;
+    bool active;
+    int released_depth;  // brace depth at the releasing unlock()
+  };
+
+  static std::string receiver(std::string_view code, std::size_t call) {
+    std::size_t b = call;
+    while (b > 0 && ident_char(code[b - 1])) --b;
+    return std::string(code.substr(b, call - b));
+  }
+
+  std::vector<LockScope> scopes_;
+};
+
 }  // namespace
 
 const std::vector<std::string>& rule_ids() { return kRuleIds; }
@@ -754,17 +873,7 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
   int hot_begin_line = 0;
   bool saw_pragma_once = false;
 
-  // Lock-scope tracking for conc-blocking-under-lock. A scope opens at a
-  // RAII guard declaration and closes when brace depth drops below the
-  // depth at the declaration, or at an explicit `var.unlock()`. An explicit
-  // `var.lock()` on a known guard re-opens it (std::unique_lock round trip).
-  struct LockScope {
-    int decl_line;
-    int depth;  // brace depth at the declaration
-    std::string var;
-    bool active;
-  };
-  std::vector<LockScope> lock_scopes;
+  LockScopes lock_scopes;
   int brace_depth = 0;
 
   // OpenMP parallel-region tracking for conc-unseeded-rng: the pragma
@@ -886,32 +995,9 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
     // Blocking calls while a lock scope is active. Scopes declared earlier
     // on the same line count if the declaration precedes the blocking call.
     {
-      std::size_t decl_pos = std::string::npos;
-      std::string decl_var;
-      for (const auto& g : {"std::lock_guard", "std::unique_lock",
-                            "std::scoped_lock", "std::shared_lock"}) {
-        const std::size_t pos = find_token(code, g);
-        if (pos == std::string::npos) continue;
-        if (decl_pos == std::string::npos || pos < decl_pos) {
-          decl_pos = pos;
-          // Variable name: after the type (and optional template args).
-          std::size_t p = pos + std::string_view(g).size();
-          if (p < code.size() && code[p] == '<') {
-            const std::size_t q = skip_template_args(code, p);
-            if (q != std::string::npos) p = q;
-          }
-          while (p < code.size() && code[p] == ' ') ++p;
-          std::size_t b = p;
-          while (p < code.size() && ident_char(code[p])) ++p;
-          decl_var = std::string(code.substr(b, p - b));
-        }
-      }
-
-      const bool scope_active_at_entry = [&] {
-        for (const auto& s : lock_scopes)
-          if (s.active) return true;
-        return false;
-      }();
+      const GuardDecl decl = find_guard_decl(code);
+      const std::size_t decl_pos = decl.pos;
+      const bool scope_active_at_entry = lock_scopes.held();
 
       for (const auto& op : kBlockingOps) {
         std::size_t pos = std::string::npos;
@@ -932,12 +1018,7 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
             scope_active_at_entry ||
             (decl_pos != std::string::npos && decl_pos < pos);
         if (!under_lock) continue;
-        int at = ln;
-        for (const auto& s : lock_scopes)
-          if (s.active) at = s.decl_line;
-        if (decl_pos != std::string::npos && decl_pos < pos &&
-            !scope_active_at_entry)
-          at = ln;
+        const int at = scope_active_at_entry ? lock_scopes.held_since() : ln;
         emit(ln, "conc-blocking-under-lock",
              std::string(op.what) + " while holding a mutex (lock acquired "
                                     "at line " +
@@ -946,41 +1027,12 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
                  "thread; move it outside the critical section");
       }
 
-      // Explicit unlock/relock round trips (std::unique_lock).
-      if (find_member_call(code, "unlock") != std::string::npos) {
-        const std::size_t upos = find_member_call(code, "unlock");
-        std::size_t b = upos;
-        while (b > 0 && ident_char(code[b - 1])) --b;
-        const std::string var(code.substr(b, upos - b));
-        bool matched = false;
-        for (auto it = lock_scopes.rbegin(); it != lock_scopes.rend(); ++it) {
-          if (it->active && (it->var == var || var.empty())) {
-            it->active = false;
-            matched = true;
-            break;
-          }
-        }
-        if (!matched && !lock_scopes.empty()) lock_scopes.back().active = false;
-      }
-      if (find_member_call(code, "lock") != std::string::npos) {
-        const std::size_t lpos = find_member_call(code, "lock");
-        std::size_t b = lpos;
-        while (b > 0 && ident_char(code[b - 1])) --b;
-        const std::string var(code.substr(b, lpos - b));
-        for (auto& s : lock_scopes)
-          if (!s.active && s.var == var && !var.empty()) s.active = true;
-      }
+      lock_scopes.release_and_reacquire(code, brace_depth);
 
       // Open the scope after the checks: its own declaration line was
       // handled positionally above.
-      if (decl_pos != std::string::npos) {
-        int depth_at_decl = brace_depth;
-        for (std::size_t k = 0; k < decl_pos && k < code.size(); ++k) {
-          if (code[k] == '{') ++depth_at_decl;
-          if (code[k] == '}') --depth_at_decl;
-        }
-        lock_scopes.push_back(LockScope{ln, depth_at_decl, decl_var, true});
-      }
+      if (decl_pos != std::string::npos)
+        lock_scopes.open(ln, depth_at(code, decl_pos, brace_depth), decl.var);
     }
 
     // -- brace depth / scope maintenance ---------------------------------
@@ -996,12 +1048,7 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
         while (!omp_regions.empty() && omp_regions.back() == brace_depth)
           omp_regions.pop_back();
         --brace_depth;
-        lock_scopes.erase(
-            std::remove_if(lock_scopes.begin(), lock_scopes.end(),
-                           [&](const LockScope& s) {
-                             return s.depth > brace_depth;
-                           }),
-            lock_scopes.end());
+        lock_scopes.close_to(brace_depth);
       }
     }
 
@@ -1049,26 +1096,14 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
   // Collect futures' names for the Member .get() blocking check. Done as a
   // second pass so a member declared below its use still counts.
   if (!futures.empty()) {
-    bool in_hot2 = false;
-    std::vector<LockScope> scopes2;
+    LockScopes scopes2;
     int depth2 = 0;
-    (void)in_hot2;
     for (std::size_t li = 0; li < lines.size(); ++li) {
       const int ln = static_cast<int>(li) + 1;
       const std::string& code = lines[li].code;
-      const bool active = [&] {
-        for (const auto& s : scopes2)
-          if (s.active) return true;
-        return false;
-      }();
-      std::size_t decl_pos = std::string::npos;
-      for (const auto& g : {"std::lock_guard", "std::unique_lock",
-                            "std::scoped_lock", "std::shared_lock"}) {
-        const std::size_t pos = find_token(code, g);
-        if (pos != std::string::npos &&
-            (decl_pos == std::string::npos || pos < decl_pos))
-          decl_pos = pos;
-      }
+      const bool active = scopes2.held();
+      const GuardDecl decl = find_guard_decl(code);
+      const std::size_t decl_pos = decl.pos;
       if (active || decl_pos != std::string::npos) {
         for (const auto& name : futures) {
           const std::size_t npos_ = find_token(code, name);
@@ -1077,10 +1112,7 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
           if (gpos == npos_ + name.size() &&
               (active ||
                (decl_pos != std::string::npos && decl_pos < gpos))) {
-            int at = ln;
-            for (const auto& s : scopes2)
-              if (s.active) at = s.decl_line;
-            if (!active) at = ln;
+            const int at = active ? scopes2.held_since() : ln;
             emit(ln, "conc-blocking-under-lock",
                  "future::get on '" + name +
                      "' while holding a mutex (lock acquired at line " +
@@ -1090,36 +1122,15 @@ FileAnalysis::FileAnalysis(SourceFile sf, const Options& opt)
           }
         }
       }
-      if (find_member_call(code, "unlock") != std::string::npos) {
-        for (auto it = scopes2.rbegin(); it != scopes2.rend(); ++it) {
-          if (it->active) {
-            it->active = false;
-            break;
-          }
-        }
-      }
-      if (decl_pos != std::string::npos) {
-        int depth_at_decl = depth2;
-        for (std::size_t k = 0; k < decl_pos && k < code.size(); ++k) {
-          if (code[k] == '{') ++depth_at_decl;
-          if (code[k] == '}') --depth_at_decl;
-        }
-        scopes2.push_back(LockScope{ln, depth_at_decl, std::string(), true});
-      }
+      scopes2.release_and_reacquire(code, depth2);
+      if (decl_pos != std::string::npos)
+        scopes2.open(ln, depth_at(code, decl_pos, depth2), decl.var);
       for (const char ch : code) {
         if (ch == '{') ++depth2;
-        if (ch == '}') {
-          --depth2;
-          scopes2.erase(std::remove_if(scopes2.begin(), scopes2.end(),
-                                       [&](const LockScope& s) {
-                                         return s.depth > depth2;
-                                       }),
-                        scopes2.end());
-        }
+        if (ch == '}') scopes2.close_to(--depth2);
       }
     }
   }
-
 }
 
 // ---------------------------------------------------------------------------
