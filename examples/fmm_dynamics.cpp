@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   dynamics::DynamicsEngine::Config cfg;
   cfg.session.tree = {.max_points_per_box = q, .domain = domain};
   cfg.session.fmm = {.p = p};
-  cfg.tuning.context = dynamics::TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
 
   std::printf("fmm_dynamics: n=%zu q=%u p=%d steps=%d (Laplace, tuned)\n", n,
               q, p, steps);

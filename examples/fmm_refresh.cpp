@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   dynamics::DynamicsEngine::Config cfg;
   cfg.session.tree = {.max_points_per_box = q, .domain = domain};
   cfg.session.fmm = {.p = p};
-  cfg.tuning.context = dynamics::TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
   cfg.tuning.refresh.enabled = true;
   // Hold the start temperature for a quarter of the run, then ramp the
   // leakage linearly to `leak_end` over the next half.

@@ -56,7 +56,8 @@ echo "== fmm_dynamics =="
 echo "== fmm_refresh =="
 ./build/examples/fmm_refresh 2>&1 | tee reproduction/fmm_refresh.txt
 
-# CSV series are written to the current directory by the fig benches.
+# CSV series are written to the current directory: fig*.csv by paper_fmm,
+# the rest by the ablation/extension benches.
 mv -f fig*.csv ablation_q_sweep.csv ext_energy_roofline.csv reproduction/ \
   2>/dev/null || true
 

@@ -42,15 +42,16 @@
 
 namespace eroof::dynamics {
 
-/// The shared tuning context. The name is kept only because the frozen
-/// end-to-end benchmark spells it; new code uses model::TuneContext.
+/// Old name of model::TuneContext. perfbench/perfbench.cpp is its only
+/// user; once the benchmark spells model::TuneContext, delete this line.
 using TuneContext = model::TuneContext;
 
 class DynamicsEngine {
  public:
   /// DVFS tuning knobs, all inert while `context` is null.
   struct Tuning {
-    std::shared_ptr<const TuneContext> context;  ///< null = no DVFS tuning
+    /// The shared tuning context; null = no DVFS tuning.
+    std::shared_ptr<const model::TuneContext> context;
 
     /// Opt-in closed-loop model refresh under thermal drift.
     struct Refresh {

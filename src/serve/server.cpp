@@ -243,7 +243,7 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
   fmm::FmmEvaluator ev(cached.value, std::move(tree));
 
   if (cfg_.schedule_ctx) {
-    const ScheduleContext& ctx = *cfg_.schedule_ctx;
+    const model::TuneContext& ctx = *cfg_.schedule_ctx;
     // Cached per (plan key, point count), not per plan key alone: the
     // profiled phase workloads depend on the request's size, so keying by
     // plan key only would make the reported schedule depend on which

@@ -45,17 +45,18 @@
 
 namespace eroof::serve {
 
-/// The shared tuning context (model::TuneContext): SoC, fitted energy
-/// model, DVFS grid and transition costs, fitted once and read by every
-/// worker. Optional -- a server without one skips schedules (pure solving).
-/// The name is kept only because the frozen end-to-end benchmark spells it.
+/// Old name of model::TuneContext. perfbench/perfbench.cpp is its only
+/// user; once the benchmark spells model::TuneContext, delete this line.
 using ScheduleContext = model::TuneContext;
 
 struct ServerConfig {
   int workers = 1;
   std::size_t queue_capacity = 64;  ///< admission-control bound
   std::size_t plan_cache_capacity = 16;  ///< 0 = no caching (cold mode)
-  std::shared_ptr<const ScheduleContext> schedule_ctx;  ///< may be null
+  /// The shared tuning context: SoC, fitted energy model, DVFS grid and
+  /// transition costs, fitted once and read by every worker. Optional -- a
+  /// server without one skips schedules (pure solving).
+  std::shared_ptr<const model::TuneContext> schedule_ctx;  ///< may be null
 };
 
 class FmmServer {

@@ -84,7 +84,7 @@ TEST(DynamicsEngine, TrajectoryBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(DynamicsEngine, AmortizedTuningSearchesOnceInTheSteadyState) {
   auto cfg = untuned_config();
-  cfg.tuning.context = TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
   DynamicsEngine engine(laplace(), ParticleSystem::random(800, kDomain, 45),
                         cfg);
   // Tiny time step: negligible drift, every move refits, the structural
@@ -101,7 +101,7 @@ TEST(DynamicsEngine, AmortizedTuningSearchesOnceInTheSteadyState) {
 
 TEST(DynamicsEngine, RetunesWhenTheTreeStructureShifts) {
   auto cfg = untuned_config();
-  cfg.tuning.context = TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
   DynamicsEngine engine(laplace(), ParticleSystem::random(800, kDomain, 46),
                         cfg);
   // A strong pull toward the center collapses the ensemble step by step:

@@ -36,7 +36,7 @@ DynamicsEngine::Config refresh_config() {
   DynamicsEngine::Config cfg;
   cfg.session.tree = {.max_points_per_box = 32, .domain = kDomain};
   cfg.session.fmm = {.p = 3};
-  cfg.tuning.context = TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
   cfg.tuning.refresh.enabled = true;
   // An aggressive ramp: leakage climbs 1.0 -> 2.0 over steps 2..8, far past
   // the 5% drift bound, so the detector must fire within the run.
@@ -270,7 +270,7 @@ TEST(RefreshLoop, RefreshOffLeavesMeasurementStatsZero) {
   DynamicsEngine::Config cfg;
   cfg.session.tree = {.max_points_per_box = 32, .domain = kDomain};
   cfg.session.fmm = {.p = 3};
-  cfg.tuning.context = TuneContext::tegra_default();
+  cfg.tuning.context = model::TuneContext::tegra_default();
   DynamicsEngine engine(laplace(), ParticleSystem::random(400, kDomain, 54),
                         cfg);
   LeapfrogMover mover({.dt = 1e-6});

@@ -7,8 +7,8 @@
 
 #include "core/autotune.hpp"
 #include "core/crossval.hpp"
-#include "core/fit.hpp"
 #include "core/profile.hpp"
+#include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/gpu_profile.hpp"
 #include "fmm/pointgen.hpp"
@@ -18,26 +18,11 @@
 namespace eroof {
 namespace {
 
-struct Pipeline {
-  hw::Soc soc = hw::Soc::tegra_k1();
-  hw::PowerMon pm;
-  model::EnergyModel model;
-  std::vector<model::FitSample> train;
-  std::vector<model::FitSample> val;
-
-  Pipeline() {
-    const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(42));
-    for (const auto& s : campaign) {
-      const auto fs = model::to_fit_sample(s.meas);
-      (s.role == hw::SettingRole::kTrain ? train : val).push_back(fs);
-    }
-    model = model::fit_energy_model(train).model;
-  }
-};
-
-const Pipeline& pipeline() {
-  static const Pipeline p;
-  return p;
+/// The shared tuning context: the paper's seed-42 microbenchmark campaign
+/// and the model fitted on its training half.
+const model::TuneContext& context() {
+  static const auto ctx = model::TuneContext::tegra_default();
+  return *ctx;
 }
 
 struct FmmRun {
@@ -59,18 +44,26 @@ FmmRun profile_fmm(std::size_t n, std::uint32_t q) {
   return run;
 }
 
+/// The one profile every FMM test here reads, built once.
+const FmmRun& fmm_run() {
+  static const FmmRun run = profile_fmm(16384, 64);
+  return run;
+}
+
 TEST(Pipeline, HoldoutValidationInPaperBand) {
-  const auto& p = pipeline();
-  const auto rep = model::validate(p.model, p.val);
+  const auto& p = context();
+  const auto rep =
+      model::validate(p.model, p.samples(hw::SettingRole::kValidate));
   // Paper: mean 2.87%, sd 2.47%, max 11.94%. Same order here.
   EXPECT_LT(rep.summary.mean, 6.0);
   EXPECT_LT(rep.summary.max, 25.0);
 }
 
 TEST(Pipeline, FmmEnergyPredictedWithinPaperBand) {
-  const auto& p = pipeline();
-  const auto run = profile_fmm(16384, 64);
+  const auto& p = context();
+  const auto& run = fmm_run();
 
+  const hw::PowerMon pm;
   const util::RngStream root(11);
   std::vector<double> errors;
   for (const auto& setting : hw::table4_settings()) {
@@ -78,7 +71,7 @@ TEST(Pipeline, FmmEnergyPredictedWithinPaperBand) {
     double e_meas = 0;
     hw::OpCounts ops;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, setting, p.pm,
+      const auto m = p.soc.run(ph.workload, setting, pm,
                                root.fork(setting.label()).fork(ph.name));
       t_total += m.time_s;
       e_meas += m.energy_j;
@@ -95,8 +88,8 @@ TEST(Pipeline, FmmEnergyPredictedWithinPaperBand) {
 
 TEST(Pipeline, ConstantPowerDominatesFmmEnergy) {
   // Paper Fig. 7: constant power is 75-95% of the FMM's total energy.
-  const auto& p = pipeline();
-  const auto run = profile_fmm(16384, 64);
+  const auto& p = context();
+  const auto& run = fmm_run();
   const auto s1 = hw::setting(852, 924);
 
   double t_total = 0;
@@ -111,7 +104,7 @@ TEST(Pipeline, ConstantPowerDominatesFmmEnergy) {
 TEST(Pipeline, MicrobenchConstantShareMuchLowerThanFmm) {
   // The contrast the paper draws in Section IV-C: microbenchmarks ~30%
   // constant power vs 75-95% for the FMM.
-  const auto& p = pipeline();
+  const auto& p = context();
   const auto s1 = hw::setting(852, 924);
 
   // A high-intensity SP microbenchmark point.
@@ -120,7 +113,7 @@ TEST(Pipeline, MicrobenchConstantShareMuchLowerThanFmm) {
   const double t_ub = p.soc.execution_time(hot, s1);
   const auto bd_ub = model::breakdown(p.model, hot.ops, s1, t_ub);
 
-  const auto run = profile_fmm(16384, 64);
+  const auto& run = fmm_run();
   double t_fmm = 0;
   for (const auto& ph : run.profile.phases)
     t_fmm += p.soc.execution_time(ph.workload, s1);
@@ -133,9 +126,10 @@ TEST(Pipeline, MicrobenchConstantShareMuchLowerThanFmm) {
 TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
   // Paper Section IV-C: because constant power dominates, the FMM's most
   // energy-efficient setting is also its fastest.
-  const auto& p = pipeline();
-  const auto run = profile_fmm(16384, 64);
+  const auto& p = context();
+  const auto& run = fmm_run();
 
+  const hw::PowerMon pm;
   const util::RngStream root(13);
   const auto grid = hw::full_grid();
   double best_e = 1e300;
@@ -146,7 +140,7 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
     double t = 0;
     double e = 0;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, grid[i], p.pm,
+      const auto m = p.soc.run(ph.workload, grid[i], pm,
                                root.fork(grid[i].label()).fork(ph.name));
       t += m.time_s;
       e += m.energy_j;
@@ -168,7 +162,7 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
   const util::RngStream root2 = util::RngStream(14).fork(t_best.label());
   for (const auto& ph : run.profile.phases)
     e_at_tbest +=
-        p.soc.run(ph.workload, t_best, p.pm, root2.fork(ph.name)).energy_j;
+        p.soc.run(ph.workload, t_best, pm, root2.fork(ph.name)).energy_j;
   EXPECT_LT(e_at_tbest, 1.05 * best_e)
       << "time-best " << grid[best_t_idx].label() << " vs energy-best "
       << grid[best_e_idx].label();
@@ -177,8 +171,8 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
 TEST(Pipeline, UtilizationDrivesTheConstantShare) {
   // White-box confirmation of the paper's hypothesis: the same FMM counts
   // at full utilization would NOT be constant-power dominated.
-  const auto& p = pipeline();
-  const auto run = profile_fmm(16384, 64);
+  const auto& p = context();
+  const auto& run = fmm_run();
   const auto s1 = hw::setting(852, 924);
 
   hw::Workload full_util = run.total;

@@ -184,7 +184,7 @@ TEST(FmmServer, BudgetedWorkerSchedulesMatchOneThreadServeNow) {
   // The schedule half of the contract: every serve_steady-style shape,
   // profiled and scheduled on a worker's multi-threaded team, picks the
   // same settings with the same predictions as at one thread.
-  const auto ctx = ScheduleContext::tegra_default();
+  const auto ctx = model::TuneContext::tegra_default();
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 4;
@@ -398,7 +398,7 @@ TEST(FmmServer, SubmitAfterShutdownSheds) {
 }
 
 TEST(FmmServer, ScheduleContextAttachesPerPhaseSchedule) {
-  const auto ctx = ScheduleContext::tegra_default();
+  const auto ctx = model::TuneContext::tegra_default();
   const WorkloadConfig wl = small_workload();
   ServerConfig cfg;
   cfg.workers = 1;
@@ -425,7 +425,7 @@ TEST(FmmServer, ScheduleIsKeyedByRequestSizeNotJustPlanKey) {
   // plan-cache key, but their phase workloads differ, so each size gets
   // its own memoized schedule -- independent of which size arrived first
   // (the reviewer's arrival-order/cache-state dependence).
-  const auto ctx = ScheduleContext::tegra_default();
+  const auto ctx = model::TuneContext::tegra_default();
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 4;
