@@ -7,11 +7,11 @@
 // other 15 Table I settings. The DVFS-aware model is fitted on the same
 // reference-setting samples only, so the comparison isolates the voltage
 // terms rather than the amount of training data.
+#include <array>
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "core/crossval.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
 #include "util/table.hpp"
 
@@ -37,32 +37,22 @@ struct FixedModel {
 
 FixedModel fit_fixed(std::span<const model::FitSample> samples) {
   // Same NNLS machinery, but the design row has no voltage factors.
-  const std::size_t cols = model::kNumCoeffs + 1;
-  la::Matrix a(samples.size(), cols);
-  std::vector<double> b(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
+  la::NormalEquations eq(model::kNumCoeffs + 1);
+  for (const auto& s : samples) {
+    std::array<double, model::kNumCoeffs + 1> row{};
     for (std::size_t k = 0; k < hw::kNumOpClasses; ++k) {
       const auto c = static_cast<std::size_t>(
           model::coeff_for(static_cast<hw::OpClass>(k)));
-      a(i, c) += s.ops.n[k];
+      row[c] += s.ops.n[k];
     }
-    a(i, model::kNumCoeffs) = s.time_s;
-    b[i] = s.energy_j;
+    row[model::kNumCoeffs] = s.time_s;
+    eq.add(row, s.energy_j);
   }
-  // Column equilibration as in the DVFS-aware fit.
-  std::vector<double> scale(cols, 1.0);
-  for (std::size_t j = 0; j < cols; ++j) {
-    double ss = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) ss += a(i, j) * a(i, j);
-    scale[j] = ss > 0 ? std::sqrt(ss) : 1.0;
-    for (std::size_t i = 0; i < samples.size(); ++i) a(i, j) /= scale[j];
-  }
-  const auto sol = la::nnls(a, b);
+  const auto sol = eq.solve();  // equilibrated, as in the DVFS-aware fit
   FixedModel m;
   for (std::size_t j = 0; j < model::kNumCoeffs; ++j)
-    m.eps[j] = sol.x[j] / scale[j];
-  m.pi0 = sol.x[model::kNumCoeffs] / scale[model::kNumCoeffs];
+    m.eps[j] = sol.x[j];
+  m.pi0 = sol.x[model::kNumCoeffs];
   return m;
 }
 

@@ -39,11 +39,13 @@ if [ "${RUN_LINT}" = 1 ]; then
 fi
 ctest --test-dir build -j "${JOBS}" 2>&1 | tee reproduction/test_output.txt
 
-for b in build/bench/*; do
-  [ -x "$b" ] || continue
-  name=$(basename "$b")
+# Only the benches the build configures (bench/CMakeLists.txt writes the
+# manifest): a reused tree still holds the executables of removed targets,
+# which must not rerun and overwrite the current CSVs.
+mapfile -t benches < build/bench/benches.txt
+for name in "${benches[@]}"; do
   echo "== $name =="
-  "$b" 2>&1 | tee "reproduction/${name}.txt"
+  "build/bench/${name}" 2>&1 | tee "reproduction/${name}.txt"
 done
 
 # Time-stepping dynamics demo: incremental refit vs rebuild decisions and

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/matrix.hpp"
-#include "linalg/nnls.hpp"
 #include "trace/trace.hpp"
 #include "util/require.hpp"
 
@@ -38,11 +36,23 @@ std::array<double, kNumFitColumns> design_row(const FitSample& s) {
 
 namespace {
 
+FitResult unpack(const la::NnlsResult& sol, std::size_t n_samples) {
+  FitResult out;
+  out.n_samples = n_samples;
+  out.converged = sol.converged;
+  out.residual_norm = sol.residual_norm;
+  for (std::size_t j = 0; j < kNumCoeffs; ++j) out.model.c0[j] = sol.x[j];
+  out.model.c1_proc = sol.x[kNumCoeffs + 0];
+  out.model.c1_mem = sol.x[kNumCoeffs + 1];
+  out.model.p_misc = sol.x[kNumCoeffs + 2];
+  return out;
+}
+
 // Shared implementation: fits on samples[rows[i]] for every i. One pass per
-// sample computes its design row exactly once, accumulating the normal
-// equations (Gram matrix, A^T b, b^T b) row-major; when a trace session is
-// installed the rows are additionally stashed so the residual pass reuses
-// them instead of rebuilding each row a second time.
+// sample computes its design row exactly once and accumulates it into the
+// normal equations; when a trace session is installed the rows are
+// additionally stashed so the residual pass reuses them instead of
+// rebuilding each row a second time.
 FitResult fit_on_rows(std::span<const FitSample> samples,
                       std::span<const std::size_t> rows) {
   EROOF_REQUIRE_MSG(rows.size() >= kNumFitColumns,
@@ -50,32 +60,17 @@ FitResult fit_on_rows(std::span<const FitSample> samples,
   const std::size_t m = rows.size();
   trace::TraceSession* ts = trace::session();
 
-  la::Matrix gram(kNumFitColumns, kNumFitColumns);
-  std::array<double, kNumFitColumns> atb{};
-  double btb = 0;
+  la::NormalEquations eq(kNumFitColumns);
   std::vector<std::array<double, kNumFitColumns>> stash;
   if (ts) stash.reserve(m);
-
   for (std::size_t i = 0; i < m; ++i) {
     const FitSample& s = samples[rows[i]];
     const auto row = design_row(s);
-    for (std::size_t j = 0; j < kNumFitColumns; ++j) {
-      for (std::size_t k = j; k < kNumFitColumns; ++k)
-        gram(j, k) += row[j] * row[k];
-      atb[j] += row[j] * s.energy_j;
-    }
-    btb += s.energy_j * s.energy_j;
+    eq.add(row, s.energy_j);
     if (ts) stash.push_back(row);
   }
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    for (std::size_t k = 0; k < j; ++k) gram(j, k) = gram(k, j);
-
-  const FitResult out = fit_normal_equations(gram, atb, btb, m);
-  std::array<double, kNumFitColumns> x{};
-  for (std::size_t j = 0; j < kNumCoeffs; ++j) x[j] = out.model.c0[j];
-  x[kNumCoeffs + 0] = out.model.c1_proc;
-  x[kNumCoeffs + 1] = out.model.c1_mem;
-  x[kNumCoeffs + 2] = out.model.p_misc;
+  const la::NnlsResult sol = eq.solve();
+  const FitResult out = unpack(sol, m);
 
   // Record the fitted model's per-sample residuals (predicted minus
   // measured energy, via the un-scaled coefficients) so a trace aligns fit
@@ -87,7 +82,8 @@ FitResult fit_on_rows(std::span<const FitSample> samples,
     for (std::size_t i = 0; i < m; ++i) {
       const auto& row = stash[i];
       double pred = 0;
-      for (std::size_t j = 0; j < kNumFitColumns; ++j) pred += row[j] * x[j];
+      for (std::size_t j = 0; j < kNumFitColumns; ++j)
+        pred += row[j] * sol.x[j];
       const double resid = pred - samples[rows[i]].energy_j;
       max_abs = std::max(max_abs, std::abs(resid));
       ts->emit_counter("fit.residual_j", ts->now_us(), resid);
@@ -104,44 +100,6 @@ FitResult fit_on_rows(std::span<const FitSample> samples,
 
 }  // namespace
 
-FitResult fit_normal_equations(const la::Matrix& gram,
-                               std::span<const double> atb, double btb,
-                               std::size_t n_samples) {
-  EROOF_REQUIRE(gram.rows() == kNumFitColumns &&
-                gram.cols() == kNumFitColumns);
-  EROOF_REQUIRE(atb.size() == kNumFitColumns);
-
-  // Column equilibration, read straight off the Gram diagonal:
-  // ||col_j||_2 = sqrt(G[j][j]). Scaling maps G'ij = Gij/(si sj),
-  // (A^T b)'j = (A^T b)j / sj; b^T b is scale-free.
-  std::array<double, kNumFitColumns> scale{};
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    scale[j] = gram(j, j) > 0 ? std::sqrt(gram(j, j)) : 1.0;
-  la::Matrix gram_scaled(kNumFitColumns, kNumFitColumns);
-  std::array<double, kNumFitColumns> atb_scaled{};
-  for (std::size_t j = 0; j < kNumFitColumns; ++j) {
-    for (std::size_t k = 0; k < kNumFitColumns; ++k)
-      gram_scaled(j, k) = gram(j, k) / (scale[j] * scale[k]);
-    atb_scaled[j] = atb[j] / scale[j];
-  }
-
-  const la::NnlsResult sol = la::nnls_gram(gram_scaled, atb_scaled, btb, 1e-10);
-
-  FitResult out;
-  out.n_samples = n_samples;
-  out.converged = sol.converged;
-  out.residual_norm = sol.residual_norm;
-  std::array<double, kNumFitColumns> x{};
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    x[j] = sol.x[j] / scale[j];
-
-  for (std::size_t j = 0; j < kNumCoeffs; ++j) out.model.c0[j] = x[j];
-  out.model.c1_proc = x[kNumCoeffs + 0];
-  out.model.c1_mem = x[kNumCoeffs + 1];
-  out.model.p_misc = x[kNumCoeffs + 2];
-  return out;
-}
-
 FitResult fit_energy_model(std::span<const FitSample> samples) {
   std::vector<std::size_t> all(samples.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
@@ -151,6 +109,11 @@ FitResult fit_energy_model(std::span<const FitSample> samples) {
 FitResult fit_energy_model(std::span<const FitSample> samples,
                            std::span<const std::size_t> rows) {
   return fit_on_rows(samples, rows);
+}
+
+FitResult fit_energy_model(const la::NormalEquations& eq) {
+  EROOF_REQUIRE(eq.cols() == kNumFitColumns);
+  return unpack(eq.solve(), eq.rows());
 }
 
 }  // namespace eroof::model

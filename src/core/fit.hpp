@@ -16,7 +16,7 @@
 
 #include "core/model.hpp"
 #include "hw/soc.hpp"
-#include "linalg/matrix.hpp"
+#include "linalg/nnls.hpp"
 
 namespace eroof::model {
 
@@ -45,16 +45,10 @@ struct FitResult {
   bool converged = false;
 };
 
-/// Fits the DVFS-aware model to `samples` by NNLS. Columns are normalized
-/// to unit Euclidean length before the solve (counts are ~1e8 while T is
-/// ~1e-1; without scaling the active-set tolerance is meaningless) and the
-/// coefficients un-scaled afterwards.
-///
-/// The solve runs on the normal equations: one pass accumulates the 9x9
-/// Gram matrix (each design row computed exactly once per sample), then
-/// la::nnls_gram iterates with O(k^3) Cholesky passive-set solves -- far
-/// cheaper than per-iteration QR over all m samples when m is in the
-/// thousands.
+/// Fits the DVFS-aware model to `samples` by NNLS: one pass computes each
+/// design row exactly once and accumulates it into the 9-column
+/// la::NormalEquations (forgetting 1), whose solve equilibrates the columns
+/// (counts are ~1e8 while T is ~1e-1) and un-scales the coefficients.
 FitResult fit_energy_model(std::span<const FitSample> samples);
 
 /// Fits on the subset samples[rows[0]], samples[rows[1]], ... without
@@ -64,19 +58,10 @@ FitResult fit_energy_model(std::span<const FitSample> samples);
 FitResult fit_energy_model(std::span<const FitSample> samples,
                            std::span<const std::size_t> rows);
 
-/// Solves an already-assembled normal-equation system -- the
-/// kNumFitColumns^2 Gram matrix (fully mirrored), A^T b, and b^T b -- by the
-/// same column equilibration + la::nnls_gram pass the batch fit uses, and
-/// unpacks the un-scaled coefficients into an EnergyModel.
-///
-/// Both fit paths land here: `fit_energy_model` after its sample-assembly
-/// pass, and the streaming refresh path (core/refresh) with an incrementally
-/// maintained Gram. Because equilibration and solve are shared, an
-/// incremental accumulation with forgetting factor 1 reproduces the batch
-/// fit bit for bit. `n_samples` is carried into the result for reporting
-/// only; it does not affect the solve.
-FitResult fit_normal_equations(const la::Matrix& gram,
-                               std::span<const double> atb, double btb,
-                               std::size_t n_samples);
+/// Solves normal equations accumulated elsewhere from design rows -- the
+/// streaming refresh (core/refresh) keeps its own -- and unpacks the
+/// coefficients into an EnergyModel. n_samples is `eq.rows()`. Fed the
+/// same rows at forgetting 1, it returns the batch fit bit for bit.
+FitResult fit_energy_model(const la::NormalEquations& eq);
 
 }  // namespace eroof::model

@@ -18,86 +18,16 @@ const TuneContext& require_context(
 
 }  // namespace
 
-IncrementalGram::IncrementalGram(double forgetting)
-    : forgetting_(forgetting), gram_(kNumFitColumns, kNumFitColumns) {
-  EROOF_REQUIRE_MSG(forgetting > 0 && forgetting <= 1.0,
-                    "forgetting factor must be in (0, 1]");
-}
-
-void IncrementalGram::add(std::span<const double, kNumFitColumns> row,
-                          double energy_j) {
-  // Raw views: the hot loops below index flat storage, no bounds-checked
-  // Matrix accessors.
-  std::span<double> g = gram_.data();
-  // eroof: hot-begin (streaming rank-1 update: decay-then-accumulate over
-  // the upper triangle, in the batch assembly's exact accumulation order --
-  // forgetting == 1 therefore reproduces fit_energy_model bit for bit)
-  if (forgetting_ != 1.0) {
-    for (std::size_t j = 0; j < kNumFitColumns; ++j)
-      for (std::size_t k = j; k < kNumFitColumns; ++k)
-        g[j * kNumFitColumns + k] *= forgetting_;
-    for (std::size_t j = 0; j < kNumFitColumns; ++j) atb_[j] *= forgetting_;
-    btb_ *= forgetting_;
-    weight_ *= forgetting_;
-  }
-  for (std::size_t j = 0; j < kNumFitColumns; ++j) {
-    for (std::size_t k = j; k < kNumFitColumns; ++k)
-      g[j * kNumFitColumns + k] += row[j] * row[k];
-    atb_[j] += row[j] * energy_j;
-  }
-  btb_ += energy_j * energy_j;
-  weight_ += 1.0;
-  ++rows_;
-  // eroof: hot-end
-}
-
-void IncrementalGram::add(const FitSample& s) {
-  add(design_row(s), s.energy_j);
-}
-
-la::Matrix IncrementalGram::assembled() const {
-  la::Matrix g = gram_;
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    for (std::size_t k = 0; k < j; ++k) g(j, k) = g(k, j);
-  return g;
-}
-
-FitResult IncrementalGram::fit() const {
-  EROOF_REQUIRE_MSG(rows_ > 0, "no rows accumulated");
-  return fit_normal_equations(assembled(), atb_, btb_, rows_);
-}
-
-FitResult IncrementalGram::fit(const IncrementalGram& anchor,
-                               double anchor_fraction) const {
-  EROOF_REQUIRE_MSG(rows_ > 0, "no rows accumulated");
-  EROOF_REQUIRE(anchor_fraction >= 0);
-  if (anchor_fraction == 0 || anchor.weight() <= 0) return fit();
-  // Self-normalizing blend: however much evidence either side holds, the
-  // anchor enters with anchor_fraction times the live stream's mass.
-  const double a = anchor_fraction * weight_ / anchor.weight();
-  la::Matrix g = assembled();
-  const la::Matrix ga = anchor.assembled();
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    for (std::size_t k = 0; k < kNumFitColumns; ++k)
-      g(j, k) += a * ga(j, k);
-  std::array<double, kNumFitColumns> atb = atb_;
-  for (std::size_t j = 0; j < kNumFitColumns; ++j)
-    atb[j] += a * anchor.atb_[j];
-  const double btb = btb_ + a * anchor.btb_;
-  return fit_normal_equations(g, atb, btb, rows_ + anchor.rows_);
-}
-
 OnlineRefresh::OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg,
                              std::span<const FitSample> anchor)
     : cfg_(cfg),
       model_(seed),
-      gram_(cfg.forgetting),
-      anchor_(1.0) {
+      gram_(kNumFitColumns, cfg.forgetting),
+      anchor_(kNumFitColumns) {
   EROOF_REQUIRE(cfg_.drift_bound > 0);
   EROOF_REQUIRE(cfg_.drift_alpha > 0 && cfg_.drift_alpha <= 1.0);
   EROOF_REQUIRE(cfg_.anchor_weight >= 0);
-  for (const FitSample& s : anchor) anchor_.add(s);
-  has_anchor_ = anchor_.rows() > 0;
+  for (const FitSample& s : anchor) anchor_.add(design_row(s), s.energy_j);
 }
 
 double OnlineRefresh::observe(const FitSample& s) {
@@ -116,7 +46,7 @@ double OnlineRefresh::observe(const FitSample& s) {
   const double rel = (s.energy_j - pred) / denom;
   drift_ += cfg_.drift_alpha * (rel - drift_);
   // eroof: hot-end
-  gram_.add(s);
+  gram_.add(design_row(s), s.energy_j);
   ++stats_.observations;
   return drift_;
 }
@@ -129,8 +59,16 @@ bool OnlineRefresh::should_refresh() const {
 }
 
 FitResult OnlineRefresh::refresh() {
-  FitResult r = has_anchor_ ? gram_.fit(anchor_, cfg_.anchor_weight)
-                            : gram_.fit();
+  EROOF_REQUIRE_MSG(gram_.rows() > 0, "no rows accumulated");
+  FitResult r;
+  if (anchor_.rows() > 0 && cfg_.anchor_weight > 0) {
+    la::NormalEquations blend = gram_;
+    blend.add_scaled(anchor_,
+                     cfg_.anchor_weight * gram_.weight() / anchor_.weight());
+    r = fit_energy_model(blend);
+  } else {
+    r = fit_energy_model(gram_);
+  }
   model_ = r.model;
   drift_ = 0.0;
   ++stats_.refreshes;

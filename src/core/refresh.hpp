@@ -12,12 +12,11 @@
 //
 // Three pieces close the loop:
 //
-//   IncrementalGram -- maintains the batch fit's normal equations as a
-//     stream: G <- lambda G + r r^T, A^T b <- lambda A^T b + r e, with an
+//   The stream -- the batch fit's normal equations (la::NormalEquations)
+//     kept live: G <- lambda G + r r^T, A^T b <- lambda A^T b + r e, with an
 //     exponential forgetting factor lambda so old thermal regimes age out.
-//     Accumulation order matches fit_energy_model's assembly pass exactly,
-//     so lambda = 1 reproduces the batch fit bit for bit (both solve via
-//     fit_normal_equations).
+//     The batch fit is the same accumulator at lambda = 1, so streaming the
+//     batch rows reproduces it bit for bit.
 //
 //   OnlineRefresh -- wraps the stream with a drift detector: an EWMA of the
 //     *signed* relative prediction error (measured - predicted)/measured
@@ -46,7 +45,6 @@
 // 2-point-trapezoid contract).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -56,52 +54,10 @@
 #include "core/schedule.hpp"
 #include "hw/powermon.hpp"
 #include "hw/soc.hpp"
-#include "linalg/matrix.hpp"
+#include "linalg/nnls.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::model {
-
-/// Streaming normal equations for the 9-column fit with exponential
-/// forgetting: every add() first decays the accumulated system by
-/// `forgetting`, then accumulates the new row rank-1 -- in exactly the
-/// batch assembly's floating-point order, so forgetting == 1 makes fit()
-/// bitwise-equal to fit_energy_model on the same rows.
-class IncrementalGram {
- public:
-  explicit IncrementalGram(double forgetting = 1.0);
-
-  /// Decay-then-accumulate one design row with target energy `energy_j`.
-  void add(std::span<const double, kNumFitColumns> row, double energy_j);
-  /// Convenience: builds the design row from a sample.
-  void add(const FitSample& s);
-
-  /// Equilibrated NNLS solve of the accumulated system.
-  FitResult fit() const;
-
-  /// Like fit(), but folds `anchor`'s system in at
-  /// `anchor_fraction * weight() / anchor.weight()` -- i.e. the anchor
-  /// contributes a fixed fraction of the live stream's evidence mass no
-  /// matter how long either has accumulated. Keeps the solve well-posed
-  /// when the stream visits few voltages without pinning it to the
-  /// anchor's (stale) thermal regime.
-  FitResult fit(const IncrementalGram& anchor, double anchor_fraction) const;
-
-  /// Total decayed sample weight (sum of lambda^age over rows).
-  double weight() const { return weight_; }
-  /// Rows ever accumulated (not decayed).
-  std::uint64_t rows() const { return rows_; }
-  double forgetting() const { return forgetting_; }
-
- private:
-  la::Matrix assembled() const;  ///< mirrors the live upper triangle
-
-  double forgetting_ = 1.0;
-  la::Matrix gram_;  ///< upper triangle live; lower mirrored at fit time
-  std::array<double, kNumFitColumns> atb_{};
-  double btb_ = 0;
-  double weight_ = 0;
-  std::uint64_t rows_ = 0;
-};
 
 struct OnlineRefreshConfig {
   /// Per-observation decay of the streamed normal equations. 1 = never
@@ -130,10 +86,11 @@ class OnlineRefresh {
                          std::span<const FitSample> anchor = {});
 
   /// One in-service measurement: updates the drift EWMA against the current
-  /// model's prediction and rank-1-updates the streamed Gram. Non-finite
-  /// samples (a NaN energy from a corrupted trace, a non-positive time) are
-  /// rejected -- counted, never accumulated -- so one poisoned sample
-  /// cannot contaminate the normal equations. Returns drift().
+  /// model's prediction and rank-1-updates the streamed normal equations.
+  /// Non-finite samples (a NaN energy from a corrupted trace, a
+  /// non-positive time) are rejected -- counted, never accumulated -- so
+  /// one poisoned sample cannot contaminate the normal equations. Returns
+  /// drift().
   double observe(const FitSample& s);
 
   /// Signed EWMA of the relative prediction error; positive = the model
@@ -144,12 +101,17 @@ class OnlineRefresh {
   /// accumulated since the start / the last refresh.
   bool should_refresh() const;
 
-  /// Re-fits from the streamed (plus anchored) normal equations, adopts the
-  /// result as the trusted model, and resets the drift EWMA.
+  /// Re-fits from the streamed normal equations, adopts the result as the
+  /// trusted model, and resets the drift EWMA. The anchor is folded in at
+  /// `anchor_weight * gram().weight() / anchor.weight()` -- a fixed fraction
+  /// of the live stream's evidence mass however long either has
+  /// accumulated -- which keeps the solve well-posed when the stream visits
+  /// few voltages without pinning it to the anchor's (stale) thermal
+  /// regime. Requires at least one observation.
   FitResult refresh();
 
   const EnergyModel& model() const { return model_; }
-  const IncrementalGram& gram() const { return gram_; }
+  const la::NormalEquations& gram() const { return gram_; }
   const OnlineRefreshConfig& config() const { return cfg_; }
 
   struct Stats {
@@ -163,9 +125,8 @@ class OnlineRefresh {
  private:
   OnlineRefreshConfig cfg_;
   EnergyModel model_;
-  IncrementalGram gram_;
-  IncrementalGram anchor_;
-  bool has_anchor_ = false;
+  la::NormalEquations gram_;    ///< the live stream, at cfg.forgetting
+  la::NormalEquations anchor_;  ///< the seed campaign, at forgetting 1
   double drift_ = 0;
   Stats stats_;
 };

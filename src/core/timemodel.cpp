@@ -1,9 +1,8 @@
 #include "core/timemodel.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 
-#include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
 #include "util/require.hpp"
 
@@ -14,29 +13,23 @@ namespace {
 /// as compute-bound: T * f_core = sum_c n_c x_c.
 std::array<double, kNumCoeffs> fit_core(
     std::span<const FitSample> samples, std::span<const std::size_t> idx) {
-  la::Matrix a(idx.size(), kNumCoeffs);
-  std::vector<double> b(idx.size());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const FitSample& s = samples[idx[r]];
+  la::NormalEquations eq(kNumCoeffs);
+  for (const std::size_t i : idx) {
+    const FitSample& s = samples[i];
+    std::array<double, kNumCoeffs> row{};
     for (std::size_t k = 0; k < hw::kNumOpClasses; ++k) {
       const auto c =
           static_cast<std::size_t>(coeff_for(static_cast<hw::OpClass>(k)));
       if (!is_core_coeff(static_cast<Coeff>(c))) continue;
-      a(r, c) += s.ops.n[k];
+      row[c] += s.ops.n[k];
     }
-    b[r] = s.time_s * s.setting.core.freq_hz();
+    eq.add(row, s.time_s * s.setting.core.freq_hz());
   }
-  // Equilibrate columns (counts differ by orders of magnitude).
-  std::array<double, kNumCoeffs> scale{};
-  for (std::size_t j = 0; j < kNumCoeffs; ++j) {
-    double ss = 0;
-    for (std::size_t r = 0; r < idx.size(); ++r) ss += a(r, j) * a(r, j);
-    scale[j] = ss > 0 ? std::sqrt(ss) : 1.0;
-    for (std::size_t r = 0; r < idx.size(); ++r) a(r, j) /= scale[j];
-  }
-  const auto sol = la::nnls(a, b);
+  // The solve equilibrates the columns (counts differ by orders of
+  // magnitude) and returns the un-scaled cycles per op.
+  const auto sol = eq.solve();
   std::array<double, kNumCoeffs> x{};
-  for (std::size_t j = 0; j < kNumCoeffs; ++j) x[j] = sol.x[j] / scale[j];
+  for (std::size_t j = 0; j < kNumCoeffs; ++j) x[j] = sol.x[j];
   return x;
 }
 

@@ -4,26 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "linalg/qr.hpp"
 #include "util/require.hpp"
 
 namespace eroof::la {
 namespace {
-
-// Solves the unconstrained least squares restricted to the passive columns
-// listed in `passive`, returning a dense n-vector with zeros elsewhere.
-std::vector<double> solve_passive(const Matrix& a, std::span<const double> b,
-                                  const std::vector<std::size_t>& passive) {
-  const std::size_t m = a.rows();
-  Matrix ap(m, passive.size());
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < passive.size(); ++j)
-      ap(i, j) = a(i, passive[j]);
-  const std::vector<double> z = QR(std::move(ap)).solve(b);
-  std::vector<double> full(a.cols(), 0.0);
-  for (std::size_t j = 0; j < passive.size(); ++j) full[passive[j]] = z[j];
-  return full;
-}
 
 // Solves G_PP z_P = atb_P for the passive subset via an in-place Cholesky on
 // the k x k Gram submatrix, returning a dense n-vector with zeros elsewhere.
@@ -86,30 +70,24 @@ std::vector<double> solve_passive_gram(const Matrix& g,
   return full;
 }
 
-}  // namespace
-
-NnlsResult nnls(const Matrix& a, std::span<const double> b, double tol,
-                int max_iter) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  EROOF_REQUIRE(b.size() == m);
-  EROOF_REQUIRE(m >= 1 && n >= 1);
-  if (max_iter <= 0) max_iter = static_cast<int>(3 * n) + 10;
+// Lawson-Hanson on the (mirrored, equilibrated) normal equations.
+NnlsResult lawson_hanson(const Matrix& g, std::span<const double> atb,
+                         double btb) {
+  constexpr double kTol = 1e-10;
+  const std::size_t n = g.cols();
+  const int max_iter = static_cast<int>(3 * n) + 10;
 
   NnlsResult out;
   out.x.assign(n, 0.0);
-  out.iterations = 0;
-  out.converged = false;
+  int iterations = 0;
 
   std::vector<bool> in_passive(n, false);
   std::vector<std::size_t> passive;
 
-  // residual r = b - A x; with x = 0, r = b.
-  std::vector<double> r(b.begin(), b.end());
+  // Dual vector w = A^T(b - A x) = atb - G x; with x = 0, w = atb.
+  std::vector<double> w(atb.begin(), atb.end());
 
-  while (out.iterations < max_iter) {
-    // Dual vector w = A^T r. Optimality: w_j <= tol for all active j.
-    const std::vector<double> w = matvec_t(a, r);
+  while (iterations < max_iter) {
     double wmax = -std::numeric_limits<double>::infinity();
     std::size_t jmax = n;
     for (std::size_t j = 0; j < n; ++j) {
@@ -119,7 +97,7 @@ NnlsResult nnls(const Matrix& a, std::span<const double> b, double tol,
         jmax = j;
       }
     }
-    if (jmax == n || wmax <= tol) {
+    if (jmax == n || wmax <= kTol) {
       out.converged = true;
       break;
     }
@@ -130,8 +108,8 @@ NnlsResult nnls(const Matrix& a, std::span<const double> b, double tol,
     // Inner loop: solve on the passive set; if any passive coefficient goes
     // non-positive, step back to the feasibility boundary and shrink the set.
     while (true) {
-      ++out.iterations;
-      std::vector<double> z = solve_passive(a, b, passive);
+      ++iterations;
+      std::vector<double> z = solve_passive_gram(g, atb, passive);
 
       double alpha = 1.0;
       bool all_positive = true;
@@ -162,88 +140,7 @@ NnlsResult nnls(const Matrix& a, std::span<const double> b, double tol,
       }
       passive = std::move(keep);
       if (passive.empty()) break;
-      if (out.iterations >= max_iter) break;
-    }
-
-    // Refresh the residual.
-    const std::vector<double> ax = matvec(a, out.x);
-    for (std::size_t i = 0; i < m; ++i) r[i] = b[i] - ax[i];
-  }
-
-  out.residual_norm = norm2(r);
-  return out;
-}
-
-NnlsResult nnls_gram(const Matrix& g, std::span<const double> atb, double btb,
-                     double tol, int max_iter) {
-  const std::size_t n = g.cols();
-  EROOF_REQUIRE(g.rows() == n);
-  EROOF_REQUIRE(atb.size() == n);
-  EROOF_REQUIRE(n >= 1);
-  if (max_iter <= 0) max_iter = static_cast<int>(3 * n) + 10;
-
-  NnlsResult out;
-  out.x.assign(n, 0.0);
-  out.iterations = 0;
-  out.converged = false;
-
-  std::vector<bool> in_passive(n, false);
-  std::vector<std::size_t> passive;
-
-  // Dual vector w = A^T(b - A x) = atb - G x; with x = 0, w = atb.
-  std::vector<double> w(atb.begin(), atb.end());
-
-  while (out.iterations < max_iter) {
-    double wmax = -std::numeric_limits<double>::infinity();
-    std::size_t jmax = n;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_passive[j]) continue;
-      if (w[j] > wmax) {
-        wmax = w[j];
-        jmax = j;
-      }
-    }
-    if (jmax == n || wmax <= tol) {
-      out.converged = true;
-      break;
-    }
-
-    in_passive[jmax] = true;
-    passive.push_back(jmax);
-
-    while (true) {
-      ++out.iterations;
-      std::vector<double> z = solve_passive_gram(g, atb, passive);
-
-      double alpha = 1.0;
-      bool all_positive = true;
-      for (std::size_t j : passive) {
-        if (z[j] <= 0.0) {
-          all_positive = false;
-          const double denom = out.x[j] - z[j];
-          if (denom > 0) alpha = std::min(alpha, out.x[j] / denom);
-        }
-      }
-      if (all_positive) {
-        out.x = std::move(z);
-        break;
-      }
-
-      for (std::size_t j = 0; j < n; ++j)
-        out.x[j] += alpha * (z[j] - out.x[j]);
-
-      std::vector<std::size_t> keep;
-      for (std::size_t j : passive) {
-        if (out.x[j] > 1e-12) {
-          keep.push_back(j);
-        } else {
-          out.x[j] = 0.0;
-          in_passive[j] = false;
-        }
-      }
-      passive = std::move(keep);
-      if (passive.empty()) break;
-      if (out.iterations >= max_iter) break;
+      if (iterations >= max_iter) break;
     }
 
     for (std::size_t j = 0; j < n; ++j) {
@@ -263,6 +160,75 @@ NnlsResult nnls_gram(const Matrix& g, std::span<const double> atb, double btb,
     xgx += out.x[j] * gx;
   }
   out.residual_norm = std::sqrt(std::max(0.0, btb - 2.0 * xatb + xgx));
+  return out;
+}
+
+}  // namespace
+
+NormalEquations::NormalEquations(std::size_t cols, double forgetting)
+    : cols_(cols), forgetting_(forgetting), gram_(cols, cols), atb_(cols) {
+  EROOF_REQUIRE(cols >= 1);
+  EROOF_REQUIRE_MSG(forgetting > 0 && forgetting <= 1.0,
+                    "forgetting factor must be in (0, 1]");
+}
+
+void NormalEquations::add(std::span<const double> row, double y) {
+  EROOF_REQUIRE(row.size() == cols_);
+  const std::size_t n = cols_;
+  // Raw views: the hot loops below index flat storage, no bounds-checked
+  // Matrix accessors.
+  std::span<double> g = gram_.data();
+  // eroof: hot-begin (streaming rank-1 update: decay-then-accumulate over
+  // the upper triangle in row order -- the batch fit is this stream at
+  // forgetting 1)
+  if (forgetting_ != 1.0) {
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t k = j; k < n; ++k) g[j * n + k] *= forgetting_;
+    for (std::size_t j = 0; j < n; ++j) atb_[j] *= forgetting_;
+    btb_ *= forgetting_;
+    weight_ *= forgetting_;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t k = j; k < n; ++k) g[j * n + k] += row[j] * row[k];
+    atb_[j] += row[j] * y;
+  }
+  btb_ += y * y;
+  weight_ += 1.0;
+  ++rows_;
+  // eroof: hot-end
+}
+
+void NormalEquations::add_scaled(const NormalEquations& other, double a) {
+  EROOF_REQUIRE(other.cols_ == cols_);
+  for (std::size_t j = 0; j < cols_; ++j) {
+    for (std::size_t k = j; k < cols_; ++k)
+      gram_(j, k) += a * other.gram_(j, k);
+    atb_[j] += a * other.atb_[j];
+  }
+  btb_ += a * other.btb_;
+  weight_ += a * other.weight_;
+  rows_ += other.rows_;
+}
+
+NnlsResult NormalEquations::solve() const {
+  EROOF_REQUIRE_MSG(rows_ > 0, "no rows accumulated");
+  const std::size_t n = cols_;
+  // Column equilibration, read straight off the Gram diagonal:
+  // ||col_j||_2 = sqrt(G[j][j]). Scaling maps G'jk = Gjk/(sj sk),
+  // (A^T b)'j = (A^T b)j / sj; b^T b is scale-free.
+  std::vector<double> scale(n);
+  for (std::size_t j = 0; j < n; ++j)
+    scale[j] = gram_(j, j) > 0 ? std::sqrt(gram_(j, j)) : 1.0;
+  Matrix g(n, n);
+  std::vector<double> atb(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t k = j; k < n; ++k)
+      g(k, j) = g(j, k) = gram_(j, k) / (scale[j] * scale[k]);
+    atb[j] = atb_[j] / scale[j];
+  }
+
+  NnlsResult out = lawson_hanson(g, atb, btb_);
+  for (std::size_t j = 0; j < n; ++j) out.x[j] /= scale[j];
   return out;
 }
 

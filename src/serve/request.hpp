@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fmm/geometry.hpp"
+#include "fmm/octree.hpp"
 
 namespace eroof::serve {
 
@@ -59,6 +60,12 @@ enum class ServeStatus : std::uint8_t {
 /// runs this at admission (submit / serve_now) and answers violations with
 /// ServeStatus::kInvalid, so kError is left for real server faults.
 std::string validate_request(const FmmRequest& req);
+
+/// The serving protocol's tree for a request: the fixed kServeDomain root
+/// and the uniform depth from (point count, max_points_per_box). FmmServer
+/// builds every request's tree from it, so a reference solve built from it
+/// too is the one the serving contract compares potentials against.
+fmm::Octree::Params tree_params(const FmmRequest& req);
 
 /// The chosen per-phase DVFS schedule, in profile_gpu_execution's phase
 /// order UP,U,V,W,X,DOWN. Empty when the server runs without a schedule

@@ -87,6 +87,15 @@ std::string validate_request(const FmmRequest& req) {
   return {};
 }
 
+fmm::Octree::Params tree_params(const FmmRequest& req) {
+  fmm::Octree::Params tp;
+  tp.max_points_per_box = req.max_points_per_box;
+  tp.uniform_depth =
+      fmm::Octree::uniform_depth_for(req.points.size(), req.max_points_per_box);
+  tp.domain = kServeDomain;
+  return tp;
+}
+
 FmmServer::FmmServer(ServerConfig cfg)
     : cfg_(cfg),
       queue_(cfg.queue_capacity),
@@ -227,12 +236,7 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
 
   // The tree is a protocol function of the request: fixed domain, uniform
   // depth from (N, Q). Identical across workers and arrival orders.
-  fmm::Octree::Params tp;
-  tp.max_points_per_box = req.max_points_per_box;
-  tp.uniform_depth =
-      fmm::Octree::uniform_depth_for(req.points.size(), req.max_points_per_box);
-  tp.domain = kServeDomain;
-  fmm::Octree tree(req.points, tp);
+  fmm::Octree tree(req.points, tree_params(req));
 
   const std::string key =
       plan_cache_key(req.kernel, req.p, req.max_points_per_box,

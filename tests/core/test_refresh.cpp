@@ -2,11 +2,11 @@
 // the drift detector, and the ClosedLoopScheduler reference controller.
 //
 // The contracts pinned here are the ones the closed loop stands on:
-// forgetting == 1 reproduces the batch fit *bit for bit* (both paths solve
-// through fit_normal_equations, and the incremental accumulation mirrors
-// the batch assembly's floating-point order), forgetting < 1 ages an old
-// thermal regime out of the fit, the EWMA detector stays quiet on a
-// calibrated model and fires on a systematic bias, and the whole loop --
+// forgetting == 1 reproduces the batch fit *bit for bit* (the batch fit
+// accumulates into the same la::NormalEquations and runs the same solve),
+// forgetting < 1 ages an old thermal regime out of the fit, the EWMA
+// detector stays quiet on a calibrated model and fires on a systematic
+// bias, and the whole loop --
 // OpenMP prediction grids included -- replays bitwise across thread counts.
 #include "core/refresh.hpp"
 
@@ -99,11 +99,11 @@ std::vector<FitSample> leakage_epoch(double c1p, double c1m, double pm,
   return out;
 }
 
-TEST(IncrementalGram, ForgettingOneMatchesBatchFitBitwise) {
+TEST(StreamedFit, ForgettingOneMatchesBatchFitBitwise) {
   const auto& train = campaign_train();
-  IncrementalGram inc(1.0);
-  for (const FitSample& s : train) inc.add(s);
-  const FitResult stream = inc.fit();
+  la::NormalEquations inc(kNumFitColumns, 1.0);
+  for (const FitSample& s : train) inc.add(design_row(s), s.energy_j);
+  const FitResult stream = fit_energy_model(inc);
   const FitResult batch = fit_energy_model(train);
   EXPECT_TRUE(models_bit_equal(stream.model, batch.model));
   EXPECT_TRUE(bit_equal(stream.residual_norm, batch.residual_norm));
@@ -113,20 +113,23 @@ TEST(IncrementalGram, ForgettingOneMatchesBatchFitBitwise) {
   EXPECT_DOUBLE_EQ(inc.weight(), static_cast<double>(train.size()));
 }
 
-TEST(IncrementalGram, ForgettingAgesOutOldRegime) {
+TEST(StreamedFit, ForgettingAgesOutOldRegime) {
   // Epoch A: cold leakage. Epoch B: every slope 1.5x (a hot die). With
   // forgetting, the fit lands on B; without, it is pulled toward the
   // stale epoch's average.
   const auto epoch_a = leakage_epoch(2.7, 3.8, 0.15, 0.1, 12);
   const auto epoch_b = leakage_epoch(4.05, 5.7, 0.225, 0.1, 12);
 
-  IncrementalGram forgetting(0.9);
-  IncrementalGram never(1.0);
-  for (const FitSample& s : epoch_a) { forgetting.add(s); never.add(s); }
-  for (const FitSample& s : epoch_b) { forgetting.add(s); never.add(s); }
+  la::NormalEquations forgetting(kNumFitColumns, 0.9);
+  la::NormalEquations never(kNumFitColumns, 1.0);
+  for (const auto* epoch : {&epoch_a, &epoch_b})
+    for (const FitSample& s : *epoch) {
+      forgetting.add(design_row(s), s.energy_j);
+      never.add(design_row(s), s.energy_j);
+    }
 
-  const EnergyModel mf = forgetting.fit().model;
-  const EnergyModel mn = never.fit().model;
+  const EnergyModel mf = fit_energy_model(forgetting).model;
+  const EnergyModel mn = fit_energy_model(never).model;
   const hw::DvfsSetting probe = hw::full_grid().front();
   const double vp = probe.core.volt_v();
   const double vm = probe.mem.volt_v();

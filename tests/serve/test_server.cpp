@@ -58,12 +58,8 @@ std::vector<double> reference_solve(const FmmRequest& req) {
   omp_set_num_threads(1);
 #endif
   const auto kernel = make_kernel(req.kernel);
-  fmm::Octree::Params tp;
-  tp.max_points_per_box = req.max_points_per_box;
-  tp.uniform_depth = fmm::Octree::uniform_depth_for(req.points.size(),
-                                                    req.max_points_per_box);
-  tp.domain = kServeDomain;
-  fmm::FmmEvaluator ev(*kernel, req.points, tp, fmm::FmmConfig{.p = req.p});
+  fmm::FmmEvaluator ev(*kernel, req.points, tree_params(req),
+                       fmm::FmmConfig{.p = req.p});
   auto phi = ev.evaluate(req.densities);
 #ifdef _OPENMP
   omp_set_num_threads(saved);
