@@ -1,7 +1,7 @@
 // Performance of the bundled FFT (1-D and the 3-D M2L grids).
 #include <benchmark/benchmark.h>
 
-#include "fft/fft3.hpp"
+#include "fft/fft.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,8 +26,8 @@ void BM_Fft1D(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Fft1D)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(12)->Arg(
-    127);  // 12 = M2L pencil (p=6); 127 exercises Bluestein
+// 12 = M2L pencil (p=6).
+BENCHMARK(BM_Fft1D)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(12);
 
 void BM_Fft3D(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -41,18 +41,6 @@ void BM_Fft3D(benchmark::State& state) {
                           static_cast<std::int64_t>(plan.size()));
 }
 BENCHMARK(BM_Fft3D)->Arg(8)->Arg(12)->Arg(16);  // the KIFMM grid sizes
-
-void BM_CircularConvolve3(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const eroof::fft::Plan3 plan(m, m, m);
-  const auto a = random_signal(plan.size());
-  const auto b = random_signal(plan.size());
-  for (auto _ : state) {
-    auto c = eroof::fft::circular_convolve3(plan, a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_CircularConvolve3)->Arg(8)->Arg(12);
 
 }  // namespace
 

@@ -1,11 +1,10 @@
 // Performance of the platform substrates: cache-hierarchy simulation,
-// PowerMon sampling, microbenchmark campaign, and host microbenchmark
-// kernels.
+// PowerMon sampling, and host microbenchmark kernels. The microbenchmark
+// campaign is timed by perf_pipeline's BM_PaperCampaign.
 #include <benchmark/benchmark.h>
 
 #include "hw/cachesim.hpp"
 #include "hw/powermon.hpp"
-#include "ubench/campaign.hpp"
 #include "ubench/kernels.hpp"
 #include "util/rng.hpp"
 
@@ -43,17 +42,6 @@ void BM_PowerMonMeasure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerMonMeasure);
-
-void BM_PaperCampaign(benchmark::State& state) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon pm;
-  for (auto _ : state) {
-    auto samples = ub::paper_campaign(soc, pm, util::RngStream(2));
-    benchmark::DoNotOptimize(samples.data());
-  }
-  state.SetLabel("1856 samples");
-}
-BENCHMARK(BM_PaperCampaign)->Unit(benchmark::kMillisecond);
 
 void BM_HostSpFma(benchmark::State& state) {
   util::Rng rng(3);

@@ -13,13 +13,7 @@ namespace {
 
 constexpr std::size_t kMaxButterflyPrime = 61;
 
-/// Smallest power of two >= n.
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
+/// Prime factorization in ascending order.
 std::vector<std::size_t> factorize(std::size_t n) {
   std::vector<std::size_t> fs;
   for (std::size_t p : {std::size_t{2}, std::size_t{3}, std::size_t{5},
@@ -41,13 +35,9 @@ std::vector<std::size_t> factorize(std::size_t n) {
 
 // Per-thread transform scratch, grown on demand and reused across calls so
 // steady-state transforms never touch the heap (the FMM's V phase runs two
-// FFTs per node per evaluation). Distinct roles so the one nested case --
-// Bluestein driving its power-of-two convolution plan -- cannot alias:
-// the Bluestein path itself uses only tl_blu_work, and its inner plan is
-// always a butterfly plan using tl_ct_in / tl_ct_scratch.
+// FFTs per node per evaluation).
 thread_local std::vector<cplx> tl_ct_in;       // input copy for ct_recurse
 thread_local std::vector<cplx> tl_ct_scratch;  // p butterfly temporaries
-thread_local std::vector<cplx> tl_blu_work;    // Bluestein convolution buffer
 
 std::vector<cplx>& grown(std::vector<cplx>& buf, std::size_t n) {
   // First-touch growth to the high-water mark; steady-state transforms
@@ -60,21 +50,15 @@ std::vector<cplx>& grown(std::vector<cplx>& buf, std::size_t n) {
 
 struct Plan::Impl {
   std::size_t n = 0;
-  std::vector<std::size_t> factors;   // prime factorization, ascending-ish
+  std::vector<std::size_t> factors;   // prime factorization, ascending
   std::vector<cplx> twiddle;          // twiddle[j] = exp(-2 pi i j / n)
-  bool use_bluestein = false;
   std::vector<std::uint32_t> bitrev;  // set iff n is a power of two
-
-  // Bluestein machinery (set up only when needed).
-  std::unique_ptr<Plan> conv_plan;    // power-of-two plan of length m
-  std::vector<cplx> chirp;            // chirp[j] = exp(-pi i j^2 / n)
-  std::vector<cplx> bfilter_fft;      // FFT of the chirp filter, length m
 
   explicit Impl(std::size_t size) : n(size) {
     EROOF_REQUIRE_MSG(n >= 1, "FFT length must be >= 1");
     factors = factorize(n);
-    for (std::size_t f : factors)
-      if (f > kMaxButterflyPrime) use_bluestein = true;
+    EROOF_REQUIRE_MSG(factors.empty() || factors.back() <= kMaxButterflyPrime,
+                      "FFT length must have no prime factor above 61");
 
     twiddle.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
@@ -84,9 +68,8 @@ struct Plan::Impl {
     }
 
     if (n >= 2 && (n & (n - 1)) == 0) {
-      // Power of two: precompute the bit-reversal permutation driving the
-      // iterative in-place radix-2 path below (the hot case -- the KIFMM's
-      // FFT grids have edge 2p).
+      // Power of two: the bit-reversal permutation driving radix2() (the
+      // hot case -- the KIFMM's FFT grids have edge 2p).
       bitrev.resize(n);
       std::uint32_t bits = 0;
       while ((std::size_t{1} << bits) < n) ++bits;
@@ -96,27 +79,6 @@ struct Plan::Impl {
           r |= ((i >> b) & 1u) << (bits - 1 - b);
         bitrev[i] = r;
       }
-    }
-
-    if (use_bluestein) {
-      const std::size_t m = next_pow2(2 * n - 1);
-      conv_plan = std::make_unique<Plan>(m);
-      chirp.resize(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        // j^2 mod 2n keeps the argument small and the phase exact.
-        const std::size_t j2 = (j * j) % (2 * n);
-        const double ang = -std::numbers::pi * static_cast<double>(j2) /
-                           static_cast<double>(n);
-        chirp[j] = {std::cos(ang), std::sin(ang)};
-      }
-      std::vector<cplx> filt(m, cplx{0, 0});
-      filt[0] = std::conj(chirp[0]);
-      for (std::size_t j = 1; j < n; ++j) {
-        filt[j] = std::conj(chirp[j]);
-        filt[m - j] = std::conj(chirp[j]);
-      }
-      conv_plan->forward(filt);
-      bfilter_fft = std::move(filt);
     }
   }
 
@@ -161,25 +123,46 @@ struct Plan::Impl {
     }
   }
 
-  // Iterative in-place radix-2 (decimation in time). Same DFT as the
-  // generic recursion, but no input copy, no recursion, and no modulo in
-  // the butterfly: twiddles for sub-length `len` sit at stride n/len in the
-  // master table.
-  void radix2(std::span<cplx> data) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t r = bitrev[i];
-      if (i < r) std::swap(data[i], data[r]);
-    }
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len / 2;
-      const std::size_t step = n / len;
-      for (std::size_t base = 0; base < n; base += len) {
-        for (std::size_t k = 0; k < half; ++k) {
-          const cplx w = twiddle[k * step];
-          const cplx u = data[base + k];
-          const cplx v = data[base + k + half] * w;
-          data[base + k] = u + v;
-          data[base + k + half] = u - v;
+  // In-place iterative radix-2 (decimation in time) along one axis of
+  // length n, for power-of-two n. Axis index i of a slab sits at i * stride;
+  // the `block` contiguous elements there are transformed together (a 3-D
+  // grid's trailing dimensions -- this is what vectorizes), and `repeat`
+  // slabs follow each other n * stride apart. A 1-D transform is stride 1,
+  // block 1, repeat 1. No input copy, no recursion, and no modulo in the
+  // butterfly: twiddles for sub-length `sub` sit at stride n/sub.
+  void radix2(cplx* data, std::size_t stride, std::size_t block,
+              std::size_t repeat) const {
+    // Locals, not members: the compiler cannot rule out that the butterfly
+    // stores alias n or the tables' pointers, and reloading them costs a
+    // third of a power-of-two 3-D transform.
+    const std::size_t len = n;
+    const cplx* tw = twiddle.data();
+    const std::uint32_t* rev = bitrev.data();
+    for (std::size_t r = 0; r < repeat; ++r) {
+      cplx* base = data + r * len * stride;
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::size_t j = rev[i];
+        if (i < j) {
+          cplx* a = base + i * stride;
+          cplx* b = base + j * stride;
+          for (std::size_t t = 0; t < block; ++t) std::swap(a[t], b[t]);
+        }
+      }
+      for (std::size_t sub = 2; sub <= len; sub <<= 1) {
+        const std::size_t half = sub / 2;
+        const std::size_t step = len / sub;
+        for (std::size_t seg = 0; seg < len; seg += sub) {
+          for (std::size_t k = 0; k < half; ++k) {
+            const cplx w = tw[k * step];
+            cplx* u = base + (seg + k) * stride;
+            cplx* v = base + (seg + k + half) * stride;
+            for (std::size_t t = 0; t < block; ++t) {
+              const cplx uu = u[t];
+              const cplx vv = v[t] * w;
+              u[t] = uu + vv;
+              v[t] = uu - vv;
+            }
+          }
         }
       }
     }
@@ -188,32 +171,14 @@ struct Plan::Impl {
   void forward(std::span<cplx> data) const {
     EROOF_REQUIRE(data.size() == n);
     if (n == 1) return;
-    if (use_bluestein) {
-      bluestein(data);
-      return;
-    }
     if (!bitrev.empty()) {
-      radix2(data);
+      radix2(data.data(), 1, 1, 1);
       return;
     }
-    std::size_t max_p = 0;
-    for (std::size_t f : factors) max_p = std::max(max_p, f);
-    auto& scratch = grown(tl_ct_scratch, max_p);
+    auto& scratch = grown(tl_ct_scratch, factors.back());
     auto& in = grown(tl_ct_in, n);
     std::copy(data.begin(), data.end(), in.begin());
     ct_recurse(data.data(), in.data(), n, 1, 0, scratch);
-  }
-
-  void bluestein(std::span<cplx> data) const {
-    const std::size_t m = conv_plan->size();
-    auto& a = grown(tl_blu_work, m);
-    std::fill(a.begin(), a.begin() + static_cast<long>(m), cplx{0, 0});
-    for (std::size_t j = 0; j < n; ++j) a[j] = data[j] * chirp[j];
-    const std::span<cplx> aspan(a.data(), m);  // buffer may be over-sized
-    conv_plan->forward(aspan);
-    for (std::size_t j = 0; j < m; ++j) a[j] *= bfilter_fft[j];
-    conv_plan->inverse(aspan);
-    for (std::size_t k = 0; k < n; ++k) data[k] = a[k] * chirp[k];
   }
 };
 
@@ -232,6 +197,82 @@ void Plan::inverse(std::span<cplx> data) const {
   impl_->forward(data);
   const double inv = 1.0 / static_cast<double>(impl_->n);
   for (auto& v : data) v = std::conj(v) * inv;
+}
+
+Plan3::Plan3(std::size_t n0, std::size_t n1, std::size_t n2)
+    : n0_(n0), n1_(n1), n2_(n2), p0_(n0), p1_(n1), p2_(n2),
+      pow2_(!p0_.impl_->bitrev.empty() && !p1_.impl_->bitrev.empty() &&
+            !p2_.impl_->bitrev.empty()) {}
+
+template <typename Fn>
+void Plan3::apply_axes(std::span<cplx> data, Fn&& transform1d) const {
+  EROOF_REQUIRE(data.size() == size());
+
+  // Axis 2: rows are contiguous.
+  for (std::size_t i0 = 0; i0 < n0_; ++i0)
+    for (std::size_t i1 = 0; i1 < n1_; ++i1)
+      transform1d(p2_, data.subspan((i0 * n1_ + i1) * n2_, n2_));
+
+  // Axis 1: gather strided pencils into a temp, transform, scatter back.
+  // The temp is per-thread and reused across calls (the FMM V phase runs
+  // two 3-D transforms per node per evaluation; none of them may allocate).
+  thread_local std::vector<cplx> tl_pencil;
+  // First-touch growth per thread; reused across every later transform.
+  if (tl_pencil.size() < std::max(n0_, n1_))
+    tl_pencil.resize(std::max(n0_, n1_));  // eroof-lint: allow(hot-alloc)
+  std::vector<cplx>& pencil = tl_pencil;
+  for (std::size_t i0 = 0; i0 < n0_; ++i0) {
+    for (std::size_t i2 = 0; i2 < n2_; ++i2) {
+      for (std::size_t i1 = 0; i1 < n1_; ++i1)
+        pencil[i1] = data[(i0 * n1_ + i1) * n2_ + i2];
+      transform1d(p1_, std::span<cplx>(pencil.data(), n1_));
+      for (std::size_t i1 = 0; i1 < n1_; ++i1)
+        data[(i0 * n1_ + i1) * n2_ + i2] = pencil[i1];
+    }
+  }
+
+  // Axis 0.
+  for (std::size_t i1 = 0; i1 < n1_; ++i1) {
+    for (std::size_t i2 = 0; i2 < n2_; ++i2) {
+      for (std::size_t i0 = 0; i0 < n0_; ++i0)
+        pencil[i0] = data[(i0 * n1_ + i1) * n2_ + i2];
+      transform1d(p0_, std::span<cplx>(pencil.data(), n0_));
+      for (std::size_t i0 = 0; i0 < n0_; ++i0)
+        data[(i0 * n1_ + i1) * n2_ + i2] = pencil[i0];
+    }
+  }
+}
+
+void Plan3::pow2_forward(std::span<cplx> data) const {
+  cplx* d = data.data();
+  // Axis 2: contiguous rows, one slab per (i0, i1).
+  p2_.impl_->radix2(d, 1, 1, n0_ * n1_);
+  // Axis 1: stride n2, butterflies vectorize over the contiguous row.
+  p1_.impl_->radix2(d, n2_, n2_, n0_);
+  // Axis 0: stride n1*n2, vectorized over whole (i1, i2) planes.
+  p0_.impl_->radix2(d, n1_ * n2_, n1_ * n2_, 1);
+}
+
+void Plan3::forward(std::span<cplx> data) const {
+  if (pow2_) {
+    EROOF_REQUIRE(data.size() == size());
+    pow2_forward(data);
+    return;
+  }
+  apply_axes(data, [](const Plan& p, std::span<cplx> v) { p.forward(v); });
+}
+
+void Plan3::inverse(std::span<cplx> data) const {
+  if (pow2_) {
+    EROOF_REQUIRE(data.size() == size());
+    // IDFT(x) = conj(DFT(conj(x))) / N.
+    for (auto& v : data) v = std::conj(v);
+    pow2_forward(data);
+    const double inv = 1.0 / static_cast<double>(size());
+    for (auto& v : data) v = std::conj(v) * inv;
+    return;
+  }
+  apply_axes(data, [](const Plan& p, std::span<cplx> v) { p.inverse(v); });
 }
 
 }  // namespace eroof::fft

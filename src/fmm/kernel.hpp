@@ -5,9 +5,11 @@
 // in through this interface. Laplace single-layer (the paper's example,
 // modeling electrostatics/gravity) is the default; additional kernels
 // demonstrate the independence and exercise the operators differently.
+// A radial kernel is one expression: its profile f(r^2) (see RadialKernel).
 #pragma once
 
-#include <memory>
+#include <cmath>
+#include <numbers>
 #include <string>
 
 #include "fmm/geometry.hpp"
@@ -41,8 +43,8 @@ class Kernel {
   /// x == y -> 0 convention where the kernel has it), and for each target
   /// the sources are accumulated in index order -- results are independent
   /// of how callers partition targets across threads. The base-class
-  /// fallback loops over eval(); the bundled kernels override it with flat
-  /// `#pragma omp simd` implementations.
+  /// fallback loops over eval(); RadialKernel overrides it with one flat
+  /// `#pragma omp simd` loop shared by the bundled kernels.
   virtual void eval_batch(const PointBlock& targets, const PointBlock& sources,
                           const double* density, double* out) const;
 
@@ -59,8 +61,8 @@ class Kernel {
   /// Each out_a[i] receives its row sum over the sources in index order as
   /// one add; each out_b[j] accumulates its terms in increasing i. Results
   /// therefore depend only on the order in which a caller visits blocks.
-  /// The base-class fallback loops over eval(); the bundled kernels override
-  /// it with flat `#pragma omp simd` implementations.
+  /// The base-class fallback loops over eval(); RadialKernel overrides it
+  /// with one flat `#pragma omp simd` loop shared by the bundled kernels.
   virtual void eval_mutual(const PointBlock& a, const double* density_a,
                            double* out_a, const PointBlock& b,
                            const double* density_b, double* out_b) const;
@@ -82,15 +84,45 @@ class Kernel {
   }
 };
 
-/// Laplace single-layer kernel K(x,y) = 1 / (4 pi |x-y|).
-class LaplaceKernel final : public Kernel {
+inline constexpr double kFourPiInv = 1.0 / (4.0 * std::numbers::pi);
+
+/// A kernel K(x, y) = f(|x - y|^2), written once as its radial profile f.
+///
+/// `Derived::profile()` returns a small functor `double operator()(double
+/// r2)` holding the kernel's hoisted constants; eval(), eval_batch() and
+/// eval_mutual() are all built from it, so the scalar value and each simd
+/// lane evaluate the same expression and agree bit for bit. A singular
+/// kernel returns 0 at r2 == 0 through an unconditional evaluate-then-select
+/// (no branch, so the loops if-convert and vectorize); a self block's
+/// diagonal is f(0). The loop bodies live in kernel.cpp, which instantiates
+/// them once per bundled kernel.
+template <typename Derived>
+class RadialKernel : public Kernel {
  public:
-  double eval(const Vec3& x, const Vec3& y) const override;
+  double eval(const Vec3& x, const Vec3& y) const final;
   void eval_batch(const PointBlock& targets, const PointBlock& sources,
-                  const double* density, double* out) const override;
+                  const double* density, double* out) const final;
   void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
                    const PointBlock& b, const double* density_b,
-                   double* out_b) const override;
+                   double* out_b) const final;
+
+ private:
+  auto f() const { return static_cast<const Derived&>(*this).profile(); }
+};
+
+// Adding a kernel: derive from RadialKernel<YourKernel>, write its profile()
+// in the style below plus flops_per_eval() and name(), and instantiate it
+// with one `template class RadialKernel<YourKernel>;` line in kernel.cpp.
+
+/// Laplace single-layer kernel K(x,y) = 1 / (4 pi |x-y|).
+class LaplaceKernel final : public RadialKernel<LaplaceKernel> {
+ public:
+  auto profile() const {
+    return [](double r2) {
+      const double k = kFourPiInv / std::sqrt(r2);
+      return r2 == 0.0 ? 0.0 : k;
+    };
+  }
   double flops_per_eval() const override { return 12; }
   std::string name() const override { return "laplace"; }
   bool homogeneous(double* degree) const override {
@@ -100,15 +132,16 @@ class LaplaceKernel final : public Kernel {
 };
 
 /// Modified/screened Laplace (Yukawa) kernel exp(-lambda r) / (4 pi r).
-class YukawaKernel final : public Kernel {
+class YukawaKernel final : public RadialKernel<YukawaKernel> {
  public:
   explicit YukawaKernel(double lambda) : lambda_(lambda) {}
-  double eval(const Vec3& x, const Vec3& y) const override;
-  void eval_batch(const PointBlock& targets, const PointBlock& sources,
-                  const double* density, double* out) const override;
-  void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
-                   const PointBlock& b, const double* density_b,
-                   double* out_b) const override;
+  auto profile() const {
+    return [lambda = lambda_](double r2) {
+      const double r = std::sqrt(r2);
+      const double k = kFourPiInv * std::exp(-lambda * r) / r;
+      return r2 == 0.0 ? 0.0 : k;
+    };
+  }
   double flops_per_eval() const override { return 20; }
   std::string name() const override { return "yukawa"; }
 
@@ -116,17 +149,16 @@ class YukawaKernel final : public Kernel {
   double lambda_;
 };
 
-/// Gaussian kernel exp(-|x-y|^2 / (2 sigma^2)) -- smooth and non-singular;
-/// a stress test for the equivalent-density solves.
-class GaussianKernel final : public Kernel {
+/// Gaussian kernel exp(-|x-y|^2 / (2 sigma^2)) -- smooth and non-singular
+/// (K(x, x) = 1); a stress test for the equivalent-density solves.
+class GaussianKernel final : public RadialKernel<GaussianKernel> {
  public:
   explicit GaussianKernel(double sigma) : sigma_(sigma) {}
-  double eval(const Vec3& x, const Vec3& y) const override;
-  void eval_batch(const PointBlock& targets, const PointBlock& sources,
-                  const double* density, double* out) const override;
-  void eval_mutual(const PointBlock& a, const double* density_a, double* out_a,
-                   const PointBlock& b, const double* density_b,
-                   double* out_b) const override;
+  auto profile() const {
+    return [two_sigma2 = 2.0 * sigma_ * sigma_](double r2) {
+      return std::exp(-r2 / two_sigma2);
+    };
+  }
   double flops_per_eval() const override { return 14; }
   std::string name() const override { return "gaussian"; }
 

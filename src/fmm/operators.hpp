@@ -37,7 +37,7 @@
 #include <span>
 #include <vector>
 
-#include "fft/fft3.hpp"
+#include "fft/fft.hpp"
 #include "fmm/kernel.hpp"
 #include "fmm/surface.hpp"
 #include "linalg/matrix.hpp"

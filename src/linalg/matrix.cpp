@@ -151,24 +151,4 @@ void gemv_add(const Matrix& a, std::span<const double> x,
   }
 }
 
-std::vector<double> matvec_t(const Matrix& a, std::span<const double> x) {
-  EROOF_REQUIRE(x.size() == a.rows());
-  std::vector<double> y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
-    const double xi = x[i];
-    for (std::size_t j = 0; j < row.size(); ++j) y[j] += row[j] * xi;
-  }
-  return y;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  EROOF_REQUIRE(a.size() == b.size());
-  double s = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
 }  // namespace eroof::la

@@ -72,11 +72,4 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 void gemv_add(const Matrix& a, std::span<const double> x,
               std::span<double> y);
 
-/// y = A^T x.
-std::vector<double> matvec_t(const Matrix& a, std::span<const double> x);
-
-/// Euclidean dot product / norm on raw vectors.
-double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-
 }  // namespace eroof::la

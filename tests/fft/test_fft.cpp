@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::fft {
@@ -75,11 +76,19 @@ TEST_P(FftSizes, ParsevalHolds) {
 }
 
 // Powers of two, smooth composites (12 = M2L grid for p=6), odd, primes
-// (Bluestein path: 11, 127), and prime powers.
+// (an O(n*p) butterfly: 11, 13, 31), and prime powers.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15,
                                            16, 25, 27, 32, 49, 60, 64, 11, 13,
-                                           31, 127, 121, 128, 240, 343, 256));
+                                           31, 121, 128, 240, 343, 256));
+
+TEST(Fft, PrimeFactorAboveTheButterflyLimitThrows) {
+  // 61 is the largest prime butterfly; 127 and 2 * 67 have no plan.
+  EXPECT_NO_THROW(Plan(61));
+  EXPECT_THROW(Plan(127), util::ContractError);
+  EXPECT_THROW(Plan(134), util::ContractError);
+  EXPECT_THROW(Plan3(4, 127, 4), util::ContractError);
+}
 
 TEST(Fft, ImpulseTransformsToAllOnes) {
   std::vector<cplx> x(16, cplx{0, 0});

@@ -1,9 +1,10 @@
-#include "fft/fft3.hpp"
+#include "fft/fft.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -15,6 +16,42 @@ std::vector<cplx> random_grid(std::size_t n, std::uint64_t seed) {
   std::vector<cplx> x(n);
   for (auto& v : x) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   return x;
+}
+
+/// O(N^2) reference 3-D DFT of a row-major [n0][n1][n2] grid of N points.
+std::vector<cplx> naive_dft3(std::span<const cplx> x, std::size_t n0,
+                             std::size_t n1, std::size_t n2) {
+  std::vector<cplx> out(x.size());
+  const auto phase = [](std::size_t jk, std::size_t n) {
+    return static_cast<double>(jk % n) / static_cast<double>(n);
+  };
+  for (std::size_t k0 = 0; k0 < n0; ++k0)
+    for (std::size_t k1 = 0; k1 < n1; ++k1)
+      for (std::size_t k2 = 0; k2 < n2; ++k2) {
+        cplx acc{0, 0};
+        for (std::size_t j0 = 0; j0 < n0; ++j0)
+          for (std::size_t j1 = 0; j1 < n1; ++j1)
+            for (std::size_t j2 = 0; j2 < n2; ++j2) {
+              const double ang = -2.0 * std::numbers::pi *
+                                 (phase(j0 * k0, n0) + phase(j1 * k1, n1) +
+                                  phase(j2 * k2, n2));
+              acc += x[(j0 * n1 + j1) * n2 + j2] *
+                     cplx{std::cos(ang), std::sin(ang)};
+            }
+        out[(k0 * n1 + k1) * n2 + k2] = acc;
+      }
+  return out;
+}
+
+TEST(Fft3, MixedShapeMatchesNaiveDft) {
+  // Axes 0 and 2 are powers of two: their pencils run the 1-D radix-2
+  // pass; axis 1 runs the mixed-radix recursion.
+  Plan3 plan(4, 6, 8);
+  auto x = random_grid(plan.size(), 9);
+  const auto ref = naive_dft3(x, 4, 6, 8);
+  plan.forward(x);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_LT(std::abs(x[i] - ref[i]), 1e-10) << "index " << i;
 }
 
 TEST(Fft3, RoundTripIdentity) {
@@ -76,7 +113,13 @@ TEST(Fft3, CircularConvolve3MatchesNaive) {
   Plan3 plan(n, n, n);
   const auto a = random_grid(n * n * n, 5);
   const auto b = random_grid(n * n * n, 6);
-  const auto conv = circular_convolve3(plan, a, b);
+  // Convolution theorem on one plan: IDFT(DFT(a) * DFT(b)).
+  auto conv = a;
+  auto fb = b;
+  plan.forward(conv);
+  plan.forward(fb);
+  for (std::size_t i = 0; i < conv.size(); ++i) conv[i] *= fb[i];
+  plan.inverse(conv);
 
   const auto at = [n](std::span<const cplx> g, std::size_t i, std::size_t j,
                       std::size_t k) { return g[(i * n + j) * n + k]; };

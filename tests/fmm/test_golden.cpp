@@ -5,9 +5,19 @@
 // parallel schedule of either must reproduce them bit for bit, at any
 // OpenMP thread count. gaussian_p6 and uniform_4096_p5 were recorded from
 // the SVD that always ran 60 sweeps and the per-line V replay.
+//
+// PotentialsGolden pins the warm step: evaluate() potentials for Laplace at
+// p = 3..6, whose M2L grids (m = 2p = 6, 8, 10, 12) run both the
+// mixed-radix and the radix-2 FFT. They were recorded from one simd loop
+// per kernel and from separate 1-D and 3-D radix-2 passes with a Bluestein
+// fallback. Their bits depend on how the compiler splits the simd
+// reductions across lanes, so only the builds tests/CMakeLists.txt marks
+// with EROOF_PINNED_SIMD_SUMS compare against the recorded hashes; every
+// build compares the potentials across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,6 +156,77 @@ TEST(GpuProfileGolden, EveryCounterMatchesTheRecordedHash) {
       });
     }
   }
+}
+
+/// The potentials' bits, in the caller's point order.
+std::uint64_t potentials_hash(FmmEvaluator& ev, std::span<const double> dens) {
+  GoldenHash h;
+  h.add(ev.evaluate(dens));
+  return h.value();
+}
+
+struct PotentialsGoldenCase {
+  int p;
+  std::uint64_t hash;
+};
+
+/// Laplace only: the Yukawa and Gaussian loops call the C library's exp(),
+/// whose bits may differ between library versions. Their
+/// per-pair values are pinned against eval() by EvalBatch/EvalMutual, and
+/// eval() itself by SvdGolden.
+void expect_potentials_golden(std::span<const Vec3> pts,
+                              Octree::Params params,
+                              std::span<const PotentialsGoldenCase> cases,
+                              std::string_view tree) {
+  static const LaplaceKernel kernel;
+  util::Rng rng(29);
+  const auto dens = random_densities(pts.size(), rng);
+  for (const auto& c : cases) {
+    FmmEvaluator ev(kernel, pts, params, FmmConfig{.p = c.p});
+    std::uint64_t one_thread = 0;
+    with_threads(1, [&] { one_thread = potentials_hash(ev, dens); });
+#ifdef EROOF_PINNED_SIMD_SUMS
+    EXPECT_EQ(one_thread, c.hash) << tree << " p=" << c.p;
+#endif
+    for (const int threads : {2, 4}) {
+      with_threads(threads, [&] {
+        EXPECT_EQ(potentials_hash(ev, dens), one_thread)
+            << tree << " p=" << c.p << " threads=" << threads;
+      });
+    }
+    // The hashes cover the V phase's FFTs and the U phase's simd loops.
+    EXPECT_GT(ev.stats().v.ffts, 0.0) << tree;
+    EXPECT_GT(ev.stats().u.kernel_evals, 0.0) << tree;
+  }
+}
+
+TEST(PotentialsGolden, UniformTree4096) {
+  util::Rng rng(13);
+  const auto pts = uniform_cube(4096, rng);
+  constexpr std::uint32_t kQ = 32;  // depth 3: a V list per leaf
+  const Octree::Params params{
+      .max_points_per_box = kQ,
+      .uniform_depth = Octree::uniform_depth_for(pts.size(), kQ)};
+  const PotentialsGoldenCase cases[] = {
+      {3, 0x936ad0ca5752e8cbULL},
+      {4, 0xa1e1abd0832dc896ULL},
+      {5, 0xb8957bf666fb2421ULL},
+      {6, 0x6c7a583c0afcc4f9ULL},
+  };
+  expect_potentials_golden(pts, params, cases, "uniform_4096");
+}
+
+TEST(PotentialsGolden, ClusteredAdaptiveTree) {
+  util::Rng rng(17);
+  const auto pts = gaussian_clusters(4096, 8, 0.05, rng);
+  const PotentialsGoldenCase cases[] = {
+      {3, 0x31b1555a68b131b0ULL},
+      {4, 0x3efe63e169774647ULL},
+      {5, 0x4519388c3631b133ULL},
+      {6, 0xa74604a49eca576dULL},
+  };
+  expect_potentials_golden(pts, Octree::Params{.max_points_per_box = 64},
+                           cases, "clusters_4096");
 }
 
 }  // namespace

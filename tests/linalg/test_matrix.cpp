@@ -90,17 +90,10 @@ TEST(Matrix, MatvecAndTransposedMatvec) {
   EXPECT_DOUBLE_EQ(y[2], -1.0);
 
   const std::vector<double> z{1.0, 0.0, 1.0};
-  const auto w = matvec_t(a, z);
+  const auto w = matvec(a.transposed(), z);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_DOUBLE_EQ(w[0], 6.0);
   EXPECT_DOUBLE_EQ(w[1], 8.0);
-}
-
-TEST(Matrix, DotAndNorm) {
-  const std::vector<double> a{1, 2, 2};
-  const std::vector<double> b{2, 0, 1};
-  EXPECT_DOUBLE_EQ(dot(a, b), 4.0);
-  EXPECT_DOUBLE_EQ(norm2(a), 3.0);
 }
 
 TEST(Matrix, OutOfRangeAccessThrows) {

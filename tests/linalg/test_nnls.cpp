@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/rng.hpp"
 
 namespace eroof::la {
@@ -28,9 +30,10 @@ NnlsResult solve_rows(const Matrix& a, std::span<const double> b) {
 double residual(const Matrix& a, std::span<const double> x,
                 std::span<const double> b) {
   const auto ax = matvec(a, x);
-  std::vector<double> r(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) r[i] = ax[i] - b[i];
-  return norm2(r);
+  double r2 = 0;
+  for (std::size_t i = 0; i < b.size(); ++i)
+    r2 += (ax[i] - b[i]) * (ax[i] - b[i]);
+  return std::sqrt(r2);
 }
 
 TEST(Nnls, RecoversNonNegativePlantedSolution) {
@@ -81,7 +84,7 @@ TEST(Nnls, KktConditionsHoldOnRandomProblems) {
     const auto ax = matvec(a, r.x);
     std::vector<double> res(b.size());
     for (std::size_t i = 0; i < b.size(); ++i) res[i] = b[i] - ax[i];
-    const auto w = matvec_t(a, res);
+    const auto w = matvec(a.transposed(), res);
     for (std::size_t j = 0; j < w.size(); ++j) {
       if (r.x[j] > 1e-10)
         EXPECT_NEAR(w[j], 0.0, 1e-7) << "seed " << seed << " col " << j;
