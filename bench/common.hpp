@@ -48,30 +48,6 @@ inline fmm::FmmGpuProfile profile_fmm_input(const FmmInput& in, int p = 4) {
   return fmm::profile_gpu_execution(ev);
 }
 
-/// Runs all six phases at `setting` and accumulates (time, measured energy,
-/// counts). Phase i draws its noise from stream.fork(i).
-struct FmmRunResult {
-  double time_s = 0;
-  double energy_j = 0;
-  hw::OpCounts ops;
-};
-
-inline FmmRunResult run_fmm_profile(const model::TuneContext& ctx,
-                                    const fmm::FmmGpuProfile& prof,
-                                    const hw::DvfsSetting& setting,
-                                    const util::RngStream& stream) {
-  const hw::PowerMon pm;
-  FmmRunResult r;
-  for (std::size_t i = 0; i < prof.phases.size(); ++i) {
-    const auto& ph = prof.phases[i];
-    const auto m = ctx.soc.run(ph.workload, setting, pm, stream.fork(i));
-    r.time_s += m.time_s;
-    r.energy_j += m.energy_j;
-    r.ops += ph.workload.ops;
-  }
-  return r;
-}
-
 // ---------------------------------------------------------------------------
 // perf_fmm trajectory-mode helpers
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // The die leakage ramps 1.0 -> 4.0 over 64 steps (hw::ThermalRamp). Each
 // step is priced three ways on the step's hot SoC with noiseless ground
-// truth (model::true_schedule_cost):
+// truth (model::price_schedule over model::oracle_phase_grid):
 //
 //   static     the seed model's chain-DP schedule, installed at step 0;
 //   refreshed  model::ClosedLoopScheduler, which streams its own PowerMon
@@ -68,11 +68,11 @@ Section run_section(const std::shared_ptr<const model::TuneContext>& ctx,
     const hw::Soc hot = ctx->soc.with_leakage_scale(leak);
     const auto truth = model::oracle_phase_grid(hot, phases, ctx->grid);
     const auto cost = [&](const model::PhaseSchedule& s) {
-      return model::true_schedule_cost(hot, phases, truth, s, tm).energy_j;
+      return model::price_schedule(truth, tm, s.pick).pred_energy_j;
     };
     out.static_j += cost(static_sched);
     out.refreshed_j += cost(loop.schedule());
-    out.oracle_j += cost(model::schedule_phases(truth, tm));
+    out.oracle_j += model::schedule_phases(truth, tm).pred_energy_j;
     loop.step(leak, noise.fork(k));
   }
   out.refreshes = loop.refresh().stats().refreshes;

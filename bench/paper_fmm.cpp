@@ -204,14 +204,20 @@ bool fig5_validation(const model::TuneContext& ctx,
                       {"setting", "input", "measured_j", "predicted_j",
                        "error_pct"});
 
+  // Each case runs the six phases at one setting, phase i drawing its noise
+  // from the case's stream.fork(i); a uniform run pays no transitions.
   const util::RngStream root(11);
+  const hw::PowerMon pm;
   std::vector<double> errors;
   for (const auto& [in, prof, total] : inputs) {
+    const auto phases = prof.workloads();
     for (std::size_t si = 0; si < settings.size(); ++si) {
-      const auto run = bench::run_fmm_profile(ctx, prof, settings[si],
-                                              root.fork(in.id).fork(si));
+      const std::vector<hw::DvfsSetting> uniform(phases.size(), settings[si]);
+      const auto run =
+          ctx.soc.run_sequence(phases, uniform, hw::DvfsTransitionModel{}, pm,
+                               root.fork(in.id).fork(si));
       const double pred =
-          ctx.model.predict_energy_j(run.ops, settings[si], run.time_s);
+          ctx.model.predict_energy_j(total.ops, settings[si], run.time_s);
       const double err = util::relative_error_pct(pred, run.energy_j);
       errors.push_back(err);
       t.add_row({setting_id(si) + "-" + in.id,
@@ -377,17 +383,17 @@ std::string schedule_string(const model::PhaseGridPrediction& pred,
   return os.str();
 }
 
-/// One fig_fmm_autotune.csv row: a schedule's predicted and true cost, and
-/// its measured energy where it was run ("" otherwise).
+/// One fig_fmm_autotune.csv row: a schedule's predicted cost `s`, its true
+/// cost `g` (the same picks priced over the oracle table), and its measured
+/// energy where it was run ("" otherwise).
 void add_schedule_row(util::CsvWriter& csv, const std::string& strategy,
                       const std::string& time_weight, const std::string& sched,
                       const model::PhaseSchedule& s,
-                      const model::ScheduleGroundTruth& g,
-                      const std::string& meas) {
+                      const model::PhaseSchedule& g, const std::string& meas) {
   csv.add_row(std::vector<std::string>{
       strategy, time_weight, sched, std::to_string(s.switches),
       std::to_string(s.pred_time_s), std::to_string(s.pred_energy_j),
-      std::to_string(g.time_s), std::to_string(g.energy_j), meas});
+      std::to_string(g.pred_time_s), std::to_string(g.pred_energy_j), meas});
 }
 
 /// Extension (paper Section V, closed loop): the exact chain DP of
@@ -421,8 +427,8 @@ bool per_phase_inputs(const model::TuneContext& ctx,
       if (prof.phases[i].name == "U" || prof.phases[i].name == "V")
         uv += (uv.empty() ? "" : " | ") + grid[cmp.per_phase.pick[i]].label();
 
-    const double e_uniform = cmp.uniform_true.energy_j;
-    const double e_phase = cmp.per_phase_true.energy_j;
+    const double e_uniform = cmp.uniform_true.pred_energy_j;
+    const double e_phase = cmp.per_phase_true.pred_energy_j;
     ok &= holds(e_phase <= e_uniform,
                 std::string("per-phase energy above the best uniform "
                             "setting's on ") + in.id);
@@ -430,7 +436,7 @@ bool per_phase_inputs(const model::TuneContext& ctx,
     t.add_row({in.id, util::Table::num(e_uniform, 3),
                util::Table::num(e_phase, 3),
                util::Table::num(savings.back(), 2),
-               util::Table::num(cmp.race_true.energy_j, 3), uv});
+               util::Table::num(cmp.race_true.pred_energy_j, 3), uv});
   }
   t.print(std::cout);
 
@@ -461,6 +467,7 @@ void one_input_report(const model::TuneContext& ctx,
   const util::RngStream root(42);
   const auto phases = bench::profile_fmm_input(in).workloads();
   const auto pred = model::predict_phase_grid(ctx.model, soc, phases, grid);
+  const auto truth = model::oracle_phase_grid(soc, phases, grid);
 
   std::cout << "Per-phase DVFS autotuning of the KIFMM proxy (N=" << in.n
             << ", q=" << in.q << ", " << grid.size() << " settings)\n\n";
@@ -484,11 +491,11 @@ void one_input_report(const model::TuneContext& ctx,
                    util::Align::kRight, util::Align::kRight,
                    util::Align::kRight, util::Align::kRight,
                    util::Align::kRight});
-    const double e_uni = cmp.uniform_true.energy_j;
+    const double e_uni = cmp.uniform_true.pred_energy_j;
     const struct Row {
       const char* name;
       const model::PhaseSchedule* s;
-      const model::ScheduleGroundTruth* g;
+      const model::PhaseSchedule* g;
     } rows[] = {{"uniform best", &cmp.uniform, &cmp.uniform_true},
                 {"per-phase", &cmp.per_phase, &cmp.per_phase_true},
                 {"race-to-halt", &cmp.race, &cmp.race_true}};
@@ -503,11 +510,11 @@ void one_input_report(const model::TuneContext& ctx,
               : schedule_string(pred, *r.s);
       t.add_row({r.name, sched, std::to_string(r.s->switches),
                  util::Table::num(r.s->pred_energy_j, 4),
-                 util::Table::num(r.g->energy_j, 4),
+                 util::Table::num(r.g->pred_energy_j, 4),
                  util::Table::num(meas.energy_j, 4),
-                 util::Table::num(r.g->time_s * 1e3, 3),
-                 util::Table::num(100.0 * (r.g->energy_j - e_uni) / e_uni,
-                                  2)});
+                 util::Table::num(r.g->pred_time_s * 1e3, 3),
+                 util::Table::num(
+                     100.0 * (r.g->pred_energy_j - e_uni) / e_uni, 2)});
       add_schedule_row(csv, std::string(r.name) + " (" + tag + ")", "0",
                        sched, *r.s, *r.g, std::to_string(meas.energy_j));
     }
@@ -525,12 +532,11 @@ void one_input_report(const model::TuneContext& ctx,
                  {util::Align::kRight, util::Align::kRight, util::Align::kRight,
                   util::Align::kRight, util::Align::kLeft});
   for (const auto& pt : frontier) {
-    const auto g =
-        model::true_schedule_cost(soc, phases, pred, pt.schedule, realistic);
+    const auto g = model::price_schedule(truth, realistic, pt.schedule.pick);
     pf.add_row({util::Table::num(pt.time_weight, 2),
                 util::Table::num(pt.schedule.pred_time_s * 1e3, 3),
                 util::Table::num(pt.schedule.pred_energy_j, 4),
-                util::Table::num(g.energy_j, 4),
+                util::Table::num(g.pred_energy_j, 4),
                 schedule_string(pred, pt.schedule)});
     add_schedule_row(csv, "pareto", std::to_string(pt.time_weight),
                      schedule_string(pred, pt.schedule), pt.schedule, g, "");
@@ -547,10 +553,10 @@ void one_input_report(const model::TuneContext& ctx,
   for (const double ej : {0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0}) {
     const hw::DvfsTransitionModel tm{100e-6, ej};
     const auto s = model::schedule_phases(pred, tm);
-    const auto g = model::true_schedule_cost(soc, phases, pred, s, tm);
+    const auto g = model::price_schedule(truth, tm, s.pick);
     sw.add_row({util::Table::num(ej, 4), std::to_string(s.switches),
                 util::Table::num(s.pred_energy_j, 4),
-                util::Table::num(g.energy_j, 4)});
+                util::Table::num(g.pred_energy_j, 4)});
     std::ostringstream strategy;
     strategy << "sweep_E" << ej;
     add_schedule_row(csv, strategy.str(), "0", schedule_string(pred, s), s, g,

@@ -64,7 +64,7 @@ std::vector<hw::Measurement> measure_grid(
 }
 
 TuneOutcome autotune(const EnergyModel& model,
-                     std::span<const hw::Measurement> grid, double tie_tol) {
+                     std::span<const hw::Measurement> grid) {
   EROOF_REQUIRE(!grid.empty());
 
   trace::ScopedSpan span("autotune", "model.autotune");
@@ -100,16 +100,16 @@ TuneOutcome autotune(const EnergyModel& model,
   }
 
   // Time oracle with race-to-halt tie-breaking: among candidates whose time
-  // is within `tie_tol` (relative) of the fastest, take the highest clocks
+  // is within kTieTolerance of the fastest, take the highest clocks
   // ("run as fast as possible, then turn everything off"). The tolerance
   // mirrors the energy tie rule below: under simulated measurement noise two
   // settings never tie *exactly*, so an exact comparison would make the
   // documented preference dead code and leave the pick to noise order.
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const hw::Measurement& m = grid[i];
-    if (m.time_s > best_time * (1.0 + tie_tol)) continue;
+    if (m.time_s > best_time * (1.0 + kTieTolerance)) continue;
     const hw::Measurement& cur = grid[out.oracle_idx];
-    const bool in_tie = cur.time_s <= best_time * (1.0 + tie_tol);
+    const bool in_tie = cur.time_s <= best_time * (1.0 + kTieTolerance);
     const bool hotter =
         m.setting.core.freq_mhz > cur.setting.core.freq_mhz ||
         (m.setting.core.freq_mhz == cur.setting.core.freq_mhz &&
@@ -126,8 +126,8 @@ TuneOutcome autotune(const EnergyModel& model,
   };
   out.model_lost_pct = lost_pct(out.model_idx);
   out.oracle_lost_pct = lost_pct(out.oracle_idx);
-  out.model_correct = out.model_lost_pct <= 100.0 * tie_tol;
-  out.oracle_correct = out.oracle_lost_pct <= 100.0 * tie_tol;
+  out.model_correct = out.model_lost_pct <= 100.0 * kTieTolerance;
+  out.oracle_correct = out.oracle_lost_pct <= 100.0 * kTieTolerance;
   if (span.active()) {
     span.arg("candidates", static_cast<double>(grid.size()));
     span.arg("model_idx", static_cast<double>(out.model_idx));

@@ -38,22 +38,23 @@ struct TuneOutcome {
   double oracle_lost_pct = 0;
 };
 
+/// Relative tolerance under which autotune() counts two measurements as
+/// tied: settings within 0.5% are indistinguishable -- several ladder points
+/// share a voltage (e.g. 68 and 204 MHz memory at 800 mV), producing
+/// physically exact energy ties that only measurement noise separates.
+inline constexpr double kTieTolerance = 5e-3;
+
 /// Scores model-based and oracle-based selection over grid measurements.
 ///
 /// The model choice minimizes predict_energy_j using each setting's
 /// *measured* execution time (the model prices energy given time, per
 /// eq. 9). The oracle choice minimizes measured time; candidates within
-/// `tie_tol` (relative) of the fastest time count as tied, and the tie goes
-/// to the higher frequencies (race-to-halt) -- under measurement noise
-/// exact time ties never occur, so an exact comparison would leave the pick
-/// dependent on noise order. A choice is "correct"
-/// when its measured energy is within `tie_tol` (relative) of the minimum;
-/// the default treats settings within 0.5% as indistinguishable -- several
-/// ladder points share a voltage (e.g. 68 and 204 MHz memory at 800 mV),
-/// producing physically exact energy ties that only measurement noise
-/// separates.
+/// kTieTolerance of the fastest time count as tied, and the tie goes to the
+/// higher frequencies (race-to-halt) -- under measurement noise exact time
+/// ties never occur, so an exact comparison would leave the pick dependent
+/// on noise order. A choice is "correct" when its measured energy is within
+/// kTieTolerance of the minimum.
 TuneOutcome autotune(const EnergyModel& model,
-                     std::span<const hw::Measurement> grid,
-                     double tie_tol = 5e-3);
+                     std::span<const hw::Measurement> grid);
 
 }  // namespace eroof::model

@@ -22,11 +22,8 @@ OnlineRefresh::OnlineRefresh(EnergyModel seed, OnlineRefreshConfig cfg,
                              std::span<const FitSample> anchor)
     : cfg_(cfg),
       model_(seed),
-      gram_(kNumFitColumns, cfg.forgetting),
+      gram_(kNumFitColumns, kForgetting),
       anchor_(kNumFitColumns) {
-  EROOF_REQUIRE(cfg_.drift_bound > 0);
-  EROOF_REQUIRE(cfg_.drift_alpha > 0 && cfg_.drift_alpha <= 1.0);
-  EROOF_REQUIRE(cfg_.anchor_weight >= 0);
   for (const FitSample& s : anchor) anchor_.add(design_row(s), s.energy_j);
 }
 
@@ -44,7 +41,7 @@ double OnlineRefresh::observe(const FitSample& s) {
   // eroof: hot-begin (per-observation drift check: one EWMA update)
   const double denom = std::max(std::abs(s.energy_j), 1e-12);
   const double rel = (s.energy_j - pred) / denom;
-  drift_ += cfg_.drift_alpha * (rel - drift_);
+  drift_ += kDriftAlpha * (rel - drift_);
   // eroof: hot-end
   gram_.add(design_row(s), s.energy_j);
   ++stats_.observations;
@@ -55,16 +52,15 @@ bool OnlineRefresh::should_refresh() const {
   if (stats_.observations < cfg_.min_observations) return false;
   if (stats_.observations - stats_.last_refresh_observation < cfg_.cooldown)
     return false;
-  return std::abs(drift_) > cfg_.drift_bound;
+  return std::abs(drift_) > kDriftBound;
 }
 
 FitResult OnlineRefresh::refresh() {
   EROOF_REQUIRE_MSG(gram_.rows() > 0, "no rows accumulated");
   FitResult r;
-  if (anchor_.rows() > 0 && cfg_.anchor_weight > 0) {
+  if (anchor_.rows() > 0) {
     la::NormalEquations blend = gram_;
-    blend.add_scaled(anchor_,
-                     cfg_.anchor_weight * gram_.weight() / anchor_.weight());
+    blend.add_scaled(anchor_, kAnchorWeight * gram_.weight() / anchor_.weight());
     r = fit_energy_model(blend);
   } else {
     r = fit_energy_model(gram_);
@@ -93,31 +89,6 @@ FitSample probe_fit_sample(const hw::Measurement& m, double ref_time_s) {
   s.energy_j *= ref_time_s / s.time_s;
   s.time_s = ref_time_s;
   return s;
-}
-
-PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
-                                      std::span<const hw::Workload> phases,
-                                      std::span<const hw::DvfsSetting> grid) {
-  EROOF_REQUIRE(!phases.empty());
-  EROOF_REQUIRE(!grid.empty());
-  PhaseGridPrediction pred;
-  pred.phase_names.reserve(phases.size());
-  for (const auto& w : phases) pred.phase_names.push_back(w.name);
-  pred.grid.assign(grid.begin(), grid.end());
-  const std::size_t np = phases.size();
-  const std::size_t ns = grid.size();
-  pred.time_s.resize(np * ns);
-  pred.energy_j.resize(np * ns);
-  pred.const_power_w.resize(ns);
-  for (std::size_t s = 0; s < ns; ++s)
-    pred.const_power_w[s] = soc.true_constant_power_w(grid[s]);
-  for (std::size_t p = 0; p < np; ++p)
-    for (std::size_t s = 0; s < ns; ++s) {
-      const double t = soc.execution_time(phases[p], grid[s]);
-      pred.time_s[p * ns + s] = t;
-      pred.energy_j[p * ns + s] = soc.true_energy_j(phases[p], grid[s], t);
-    }
-  return pred;
 }
 
 ClosedLoopScheduler::ClosedLoopScheduler(

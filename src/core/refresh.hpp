@@ -24,7 +24,7 @@
 //     per-workload activity_sigma is a systematic few-percent bias that a
 //     naive absolute-error trigger would fire on forever, while genuine
 //     thermal drift biases every phase the same direction and accumulates
-//     in the mean. Past `drift_bound` (after a cooldown) the caller re-fits
+//     in the mean. Past kDriftBound (after a cooldown) the caller re-fits
 //     and re-runs the PR 5 chain DP.
 //
 //   ClosedLoopScheduler -- the one closed-loop controller: built from a
@@ -59,16 +59,27 @@
 
 namespace eroof::model {
 
+/// Per-observation decay of OnlineRefresh's streamed normal equations
+/// (1 would never forget, the batch equivalent): a half-life of ~140
+/// observations.
+inline constexpr double kForgetting = 0.995;
+/// |EWMA of signed relative prediction error| that triggers a refresh.
+inline constexpr double kDriftBound = 0.05;
+/// EWMA smoothing weight of one observation.
+inline constexpr double kDriftAlpha = 0.2;
+/// Anchor mass as a fraction of the live stream's.
+inline constexpr double kAnchorWeight = 0.1;
+
+/// Install dead-band of ClosedLoopScheduler: after a refit, the fresh DP
+/// schedule replaces the installed one only if the *new* model predicts at
+/// least this relative improvement from switching. Refits move the
+/// coefficients a little every time (measurement noise, the ground truth's
+/// voltage bend that a linear-in-V pi_0 cannot express); without hysteresis
+/// the DP flips between near-tied settings and the controller thrashes --
+/// paying transition costs, and occasionally pinning a bias-driven pick.
+inline constexpr double kInstallDeadband = 0.01;
+
 struct OnlineRefreshConfig {
-  /// Per-observation decay of the streamed normal equations. 1 = never
-  /// forget (batch-equivalent); the default half-life is ~140 observations.
-  double forgetting = 0.995;
-  /// |EWMA of signed relative prediction error| that triggers a refresh.
-  double drift_bound = 0.05;
-  /// EWMA smoothing weight of one observation.
-  double drift_alpha = 0.2;
-  /// Anchor mass as a fraction of the live stream's (0 disables).
-  double anchor_weight = 0.1;
   /// Observations before the first refresh may fire.
   std::size_t min_observations = 2 * kNumFitColumns;
   /// Observations between refreshes (lets the EWMA re-converge).
@@ -103,7 +114,7 @@ class OnlineRefresh {
 
   /// Re-fits from the streamed normal equations, adopts the result as the
   /// trusted model, and resets the drift EWMA. The anchor is folded in at
-  /// `anchor_weight * gram().weight() / anchor.weight()` -- a fixed fraction
+  /// `kAnchorWeight * gram().weight() / anchor.weight()` -- a fixed fraction
   /// of the live stream's evidence mass however long either has
   /// accumulated -- which keeps the solve well-posed when the stream visits
   /// few voltages without pinning it to the anchor's (stale) thermal
@@ -125,7 +136,7 @@ class OnlineRefresh {
  private:
   OnlineRefreshConfig cfg_;
   EnergyModel model_;
-  la::NormalEquations gram_;    ///< the live stream, at cfg.forgetting
+  la::NormalEquations gram_;    ///< the live stream, at kForgetting
   la::NormalEquations anchor_;  ///< the seed campaign, at forgetting 1
   double drift_ = 0;
   Stats stats_;
@@ -146,24 +157,6 @@ hw::Workload idle_probe_workload();
 /// reference duration is the measured average power restated over ref_time_s
 /// -- not an invented sample. Requires a finite, positive measured duration.
 FitSample probe_fit_sample(const hw::Measurement& m, double ref_time_s = 1.0);
-
-/// White-box validation oracle: the prediction table an omniscient per-step
-/// re-fit would use -- roofline times plus *ground-truth* energies and pi_0
-/// straight from `soc` (at its current leakage scale). Benchmarks and tests
-/// score controllers against schedule_phases() on this table; the closed
-/// loop itself never calls it.
-PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
-                                      std::span<const hw::Workload> phases,
-                                      std::span<const hw::DvfsSetting> grid);
-
-/// Install dead-band of ClosedLoopScheduler: after a refit, the fresh DP
-/// schedule replaces the installed one only if the *new* model predicts at
-/// least this relative improvement from switching. Refits move the
-/// coefficients a little every time (measurement noise, the ground truth's
-/// voltage bend that a linear-in-V pi_0 cannot express); without hysteresis
-/// the DP flips between near-tied settings and the controller thrashes --
-/// paying transition costs, and occasionally pinning a bias-driven pick.
-inline constexpr double kInstallDeadband = 0.01;
 
 /// The closed-loop controller for a phase chain: owns the installed
 /// chain-DP schedule (pure energy objective) and an OnlineRefresh seeded

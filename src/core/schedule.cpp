@@ -11,15 +11,34 @@
 namespace eroof::model {
 namespace {
 
+/// The P x S table for `phases` over `grid`: labels and grid filled in,
+/// the cells and pi_0 values sized for the caller to fill.
+PhaseGridPrediction empty_table(std::span<const hw::Workload> phases,
+                                std::span<const hw::DvfsSetting> grid) {
+  EROOF_REQUIRE(!phases.empty());
+  EROOF_REQUIRE(!grid.empty());
+  PhaseGridPrediction pred;
+  pred.phase_names.reserve(phases.size());
+  for (const auto& w : phases) pred.phase_names.push_back(w.name);
+  pred.grid.assign(grid.begin(), grid.end());
+  pred.time_s.resize(phases.size() * grid.size());
+  pred.energy_j.resize(phases.size() * grid.size());
+  pred.const_power_w.resize(grid.size());
+  return pred;
+}
+
 /// Transition cost (in objective units: joules, with stalls converted via
-/// `time_weight`) of entering grid index `to` from grid index `from`.
+/// `time_weight`) of entering grid index `to` from grid index `from`: the
+/// stall is charged at the entered setting's pi_0 plus `time_weight`.
 double transition_cost(const PhaseGridPrediction& pred,
                        const hw::DvfsTransitionModel& tm, std::size_t from,
                        std::size_t to, double time_weight) {
-  const int nd = tm.changed_domains(pred.grid[from], pred.grid[to]);
-  if (nd == 0) return 0.0;
-  return tm.energy_j * nd +
-         tm.latency_s * (pred.const_power_w[to] + time_weight);
+  double stall_s = 0;
+  double cost = 0;
+  tm.charge(
+      pred.grid[from], pred.grid[to],
+      [&] { return pred.const_power_w[to] + time_weight; }, stall_s, cost);
+  return cost;
 }
 
 /// True when schedule `a` is dominated by `b` (no better on either axis,
@@ -59,20 +78,10 @@ PhaseGridPrediction predict_phase_grid(const EnergyModel& model,
                                        const hw::Soc& soc,
                                        std::span<const hw::Workload> phases,
                                        std::span<const hw::DvfsSetting> grid) {
-  EROOF_REQUIRE(!phases.empty());
-  EROOF_REQUIRE(!grid.empty());
   trace::ScopedSpan span("predict_phase_grid", "model.schedule");
-
-  PhaseGridPrediction pred;
-  pred.phase_names.reserve(phases.size());
-  for (const auto& w : phases) pred.phase_names.push_back(w.name);
-  pred.grid.assign(grid.begin(), grid.end());
+  PhaseGridPrediction pred = empty_table(phases, grid);
   const std::size_t np = phases.size();
   const std::size_t ns = grid.size();
-  pred.time_s.resize(np * ns);
-  pred.energy_j.resize(np * ns);
-  pred.const_power_w.resize(ns);
-
   for (std::size_t s = 0; s < ns; ++s)
     pred.const_power_w[s] = model.constant_power_w(grid[s]);
 
@@ -92,6 +101,22 @@ PhaseGridPrediction predict_phase_grid(const EnergyModel& model,
     span.arg("phases", static_cast<double>(np));
     span.arg("settings", static_cast<double>(ns));
   }
+  return pred;
+}
+
+PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
+                                      std::span<const hw::Workload> phases,
+                                      std::span<const hw::DvfsSetting> grid) {
+  PhaseGridPrediction pred = empty_table(phases, grid);
+  const std::size_t ns = grid.size();
+  for (std::size_t s = 0; s < ns; ++s)
+    pred.const_power_w[s] = soc.true_constant_power_w(grid[s]);
+  for (std::size_t p = 0; p < phases.size(); ++p)
+    for (std::size_t s = 0; s < ns; ++s) {
+      const double t = soc.execution_time(phases[p], grid[s]);
+      pred.time_s[p * ns + s] = t;
+      pred.energy_j[p * ns + s] = soc.true_energy_j(phases[p], grid[s], t);
+    }
   return pred;
 }
 
@@ -161,16 +186,11 @@ PhaseSchedule price_schedule(const PhaseGridPrediction& pred,
     EROOF_REQUIRE(pick[p] < pred.n_settings());
     s.pred_time_s += pred.time_at(p, pick[p]);
     s.pred_energy_j += pred.energy_at(p, pick[p]);
-    if (p > 0) {
-      const int nd = transitions.changed_domains(pred.grid[pick[p - 1]],
-                                                 pred.grid[pick[p]]);
-      if (nd > 0) {
-        s.switches += nd;
-        s.pred_time_s += transitions.latency_s;
-        s.pred_energy_j += transitions.energy_j * nd +
-                           transitions.latency_s * pred.const_power_w[pick[p]];
-      }
-    }
+    if (p > 0)
+      s.switches += transitions.charge(
+          pred.grid[pick[p - 1]], pred.grid[pick[p]],
+          [&] { return pred.const_power_w[pick[p]]; }, s.pred_time_s,
+          s.pred_energy_j);
   }
   return s;
 }
@@ -243,30 +263,6 @@ std::vector<ParetoPoint> pareto_frontier(
   return frontier;
 }
 
-ScheduleGroundTruth true_schedule_cost(
-    const hw::Soc& soc, std::span<const hw::Workload> phases,
-    const PhaseGridPrediction& pred, const PhaseSchedule& sched,
-    const hw::DvfsTransitionModel& transitions) {
-  EROOF_REQUIRE(phases.size() == sched.pick.size());
-  ScheduleGroundTruth out;
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    const hw::DvfsSetting& s = pred.grid[sched.pick[p]];
-    const double t = soc.execution_time(phases[p], s);
-    out.time_s += t;
-    out.energy_j += soc.true_energy_j(phases[p], s, t);
-    if (p > 0) {
-      const hw::DvfsSetting& prev = pred.grid[sched.pick[p - 1]];
-      const int nd = transitions.changed_domains(prev, s);
-      if (nd > 0) {
-        out.time_s += transitions.latency_s;
-        out.energy_j += transitions.energy_j * nd +
-                        transitions.latency_s * soc.true_constant_power_w(s);
-      }
-    }
-  }
-  return out;
-}
-
 ScheduleComparison compare_strategies(const EnergyModel& model,
                                       const hw::Soc& soc,
                                       std::span<const hw::Workload> phases,
@@ -279,11 +275,10 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
   cmp.per_phase = schedule_phases(pred, transitions, time_weight);
   cmp.uniform = best_uniform_schedule(pred, time_weight);
   cmp.race = race_to_halt_schedule(pred);
-  cmp.per_phase_true =
-      true_schedule_cost(soc, phases, pred, cmp.per_phase, transitions);
-  cmp.uniform_true =
-      true_schedule_cost(soc, phases, pred, cmp.uniform, transitions);
-  cmp.race_true = true_schedule_cost(soc, phases, pred, cmp.race, transitions);
+  const PhaseGridPrediction truth = oracle_phase_grid(soc, phases, grid);
+  cmp.per_phase_true = price_schedule(truth, transitions, cmp.per_phase.pick);
+  cmp.uniform_true = price_schedule(truth, transitions, cmp.uniform.pick);
+  cmp.race_true = price_schedule(truth, transitions, cmp.race.pick);
   return cmp;
 }
 
@@ -325,7 +320,7 @@ bool ScheduleReuse::needs_retune(std::span<const double> phase_work) {
     trace::counter_add("core.schedule_reuse.incompatible", 1.0);
     return true;
   }
-  if (divergence(phase_work) > bound_) {
+  if (divergence(phase_work) > kRetuneBound) {
     ++stats_.retunes;
     trace::counter_add("core.schedule_reuse.retune", 1.0);
     return true;

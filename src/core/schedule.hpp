@@ -22,7 +22,8 @@
 // domain idle can floor that domain's voltage, trimming the
 // voltage-dependent constant power pi_0 (eq. 8) even when constant power
 // dominates total energy. Validation against the simulator's ground truth
-// goes through hw::Soc::run_sequence / true_schedule_cost.
+// prices a schedule with price_schedule over oracle_phase_grid (noiseless)
+// or runs it through hw::Soc::run_sequence (measured).
 #pragma once
 
 #include <cstdint>
@@ -92,6 +93,16 @@ PhaseGridPrediction predict_phase_grid(const EnergyModel& model,
                                        std::span<const hw::Workload> phases,
                                        std::span<const hw::DvfsSetting> grid);
 
+/// White-box validation oracle: the same table with roofline times,
+/// *ground-truth* energies and the silicon's pi_0, straight from `soc` (at
+/// its current leakage scale). A schedule's true cost is price_schedule()
+/// over this table; schedule_phases() on it is the omniscient schedule no
+/// measuring controller can beat. Benchmarks and tests score against it;
+/// the closed loop itself never calls it.
+PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
+                                      std::span<const hw::Workload> phases,
+                                      std::span<const hw::DvfsSetting> grid);
+
 /// One scheduled run: the chosen grid index per phase plus predicted totals
 /// (both including transition stalls/switch energy).
 struct PhaseSchedule {
@@ -146,30 +157,19 @@ std::vector<ParetoPoint> pareto_frontier(const PhaseGridPrediction& pred,
                                          const hw::DvfsTransitionModel& transitions,
                                          std::span<const double> time_weights);
 
-/// Noiseless ground-truth cost of executing `sched` on the simulator:
-/// roofline times, true per-phase energies, and the true transition
-/// overheads (switch energy + stalls at the entered setting's true pi_0).
-/// The measured (noisy) counterpart is hw::Soc::run_sequence.
-struct ScheduleGroundTruth {
-  double time_s = 0;
-  double energy_j = 0;
-};
-ScheduleGroundTruth true_schedule_cost(const hw::Soc& soc,
-                                       std::span<const hw::Workload> phases,
-                                       const PhaseGridPrediction& pred,
-                                       const PhaseSchedule& sched,
-                                       const hw::DvfsTransitionModel& transitions);
-
 /// Everything a paper-Table-V-style comparison row needs: the per-phase
-/// schedule vs the uniform model pick vs race-to-halt, each with predicted
-/// and ground-truth totals.
+/// schedule vs the uniform model pick vs race-to-halt, each priced by the
+/// model and (the `*_true` copies) by price_schedule over
+/// oracle_phase_grid: noiseless roofline times, true phase energies and
+/// transition stalls at the silicon's pi_0. The measured (noisy)
+/// counterpart is hw::Soc::run_sequence.
 struct ScheduleComparison {
   PhaseSchedule per_phase;
   PhaseSchedule uniform;
   PhaseSchedule race;
-  ScheduleGroundTruth per_phase_true;
-  ScheduleGroundTruth uniform_true;
-  ScheduleGroundTruth race_true;
+  PhaseSchedule per_phase_true;
+  PhaseSchedule uniform_true;
+  PhaseSchedule race_true;
 };
 
 ScheduleComparison compare_strategies(const EnergyModel& model,
@@ -178,6 +178,10 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
                                       std::span<const hw::DvfsSetting> grid,
                                       const hw::DvfsTransitionModel& transitions,
                                       double time_weight = 0);
+
+/// Maximum tolerated per-phase relative work divergence of ScheduleReuse
+/// before the installed schedule is searched again.
+inline constexpr double kRetuneBound = 0.10;
 
 /// Amortizes the schedule search across a *sequence* of correlated runs --
 /// a time-stepping dynamics loop, where consecutive steps' phase workloads
@@ -191,15 +195,12 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
 /// time scales linearly in the phase's structural work, so the relative
 /// divergence between the time the installed schedule predicted for phase p
 /// and the time the current step would actually spend there is
-/// |w_p / w0_p - 1|. When the max over phases exceeds `bound`, the
+/// |w_p / w0_p - 1|. When the max over phases exceeds kRetuneBound, the
 /// installed picks may no longer be energy-optimal and the caller re-runs
 /// the search. Model drift is the closed loop's trigger (DESIGN.md §14);
 /// the dynamics engine rebaselines this monitor after either.
 class ScheduleReuse {
  public:
-  /// `bound`: maximum tolerated per-phase relative work divergence.
-  explicit ScheduleReuse(double bound = 0.10) : bound_(bound) {}
-
   /// Rebaselines on the per-phase work (any scalar proportional to phase
   /// time at a fixed setting; the dynamics engine feeds FmmStats tallies)
   /// a freshly searched schedule was tuned against.
@@ -223,8 +224,6 @@ class ScheduleReuse {
   /// tally would read as zero divergence and pin the stale schedule forever.
   double divergence(std::span<const double> phase_work) const;
 
-  double bound() const { return bound_; }
-
   struct Stats {
     std::uint64_t installs = 0;
     std::uint64_t reuses = 0;
@@ -234,7 +233,6 @@ class ScheduleReuse {
   const Stats& stats() const { return stats_; }
 
  private:
-  double bound_;
   std::vector<double> work0_;
   Stats stats_;
 };

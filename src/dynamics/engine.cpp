@@ -24,7 +24,7 @@ DynamicsEngine::DynamicsEngine(std::shared_ptr<const fmm::Kernel> kernel,
   EROOF_REQUIRE_MSG(!cfg_.tuning.refresh.enabled || cfg_.tuning.context,
                     "Tuning::refresh requires a TuneContext");
   phi_.resize(ps_.size());
-  if (cfg_.tuning.context) reuse_.emplace(kRetuneBound);
+  if (cfg_.tuning.context) reuse_.emplace();
 }
 
 void DynamicsEngine::step(Mover& mover) {

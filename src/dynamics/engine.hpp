@@ -65,9 +65,6 @@ class DynamicsEngine {
     Refresh refresh;
   };
 
-  /// Max tolerated per-phase relative work drift before a re-search.
-  static constexpr double kRetuneBound = 0.10;
-
   struct Config {
     fmm::FmmSession::Config session;
     Tuning tuning;

@@ -130,8 +130,7 @@ void FmmEvaluator::init() {
 
   build_v_schedule();
   build_u_schedule();
-  structural_stats_ = compute_structural_stats();
-  stats_ = structural_stats_;
+  stats_ = compute_structural_stats();
 }
 
 void FmmEvaluator::build_u_schedule() {
@@ -401,9 +400,6 @@ void FmmEvaluator::evaluate_into(std::span<const double> densities,
                                  std::span<double> out) {
   EROOF_REQUIRE(densities.size() == tree_.points().size());
   EROOF_REQUIRE(out.size() == densities.size());
-  // Tallies are structural: one wholesale commit of the precomputed pass
-  // (trivially thread-count invariant).
-  stats_ = structural_stats_;
 
   // Setup: permute densities into tree-order staging, zero the arenas, and
   // make sure per-thread scratch exists. The staging buffers and scratch are
@@ -455,8 +451,7 @@ bool FmmEvaluator::try_refit(std::span<const Vec3> new_points) {
   }
   // eroof: hot-end
   fill_u_costs();
-  structural_stats_ = compute_structural_stats();
-  stats_ = structural_stats_;
+  stats_ = compute_structural_stats();
   return true;
 }
 

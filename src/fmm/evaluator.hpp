@@ -132,11 +132,11 @@ class FmmEvaluator {
     return (spec_re_.size() + spec_im_.size()) * sizeof(double);
   }
 
-  /// Tallies of the most recent evaluate() call. The tallies are purely
-  /// structural (tree + lists + operators), so they are computed once at
-  /// construction by one serial pass in canonical phase order -- the
+  /// Tallies of one evaluate() call. The tallies are purely structural
+  /// (tree + lists + operators), so they are computed at construction and
+  /// after every refit by one serial pass in canonical phase order -- the
   /// explicit commit order that keeps stats() bitwise identical across
-  /// thread counts -- and committed wholesale per evaluate(). U counts
+  /// thread counts -- and evaluate() leaves them as they are. U counts
   /// directed evaluations (the paper's one-way kernel, which the GPU
   /// profile models), about twice the pairs the mutual sweep evaluates.
   const FmmStats& stats() const { return stats_; }
@@ -238,7 +238,6 @@ class FmmEvaluator {
   Octree tree_;
   InteractionLists lists_;
   FmmStats stats_;
-  FmmStats structural_stats_;
 
   // SoA mirror of the tree-order points (rebuilt in place by try_refit).
   std::vector<double> px_, py_, pz_;

@@ -27,7 +27,6 @@ Operators::Operators(const Kernel& kernel, double root_half, int max_level,
             static_cast<std::size_t>(2 * cfg.p),
             static_cast<std::size_t>(2 * cfg.p)) {
   EROOF_REQUIRE(cfg_.p >= FmmConfig::kMinP && cfg_.p <= FmmConfig::kMaxP);
-  EROOF_REQUIRE(cfg_.tikhonov_eps > 0);
   EROOF_REQUIRE(max_level >= 0 && max_level <= MortonKey::kMaxLevel);
 
   const std::size_t m = grid_m();
@@ -250,13 +249,13 @@ void Operators::build_level(const Kernel& kernel, int l, double root_half) {
   // the regularization error stays below the surface-discretization error.
   const auto up_equiv = surface_points(cfg_.p, box, kRadiusInner);
   const auto up_check = surface_points(cfg_.p, box, kRadiusOuter);
-  ops.uc2e = la::pinv_tikhonov(kernel.matrix(up_check, up_equiv),
-                               cfg_.tikhonov_eps);
+  ops.uc2e =
+      la::pinv_tikhonov(kernel.matrix(up_check, up_equiv), kTikhonovEps);
 
   const auto down_check = surface_points(cfg_.p, box, kRadiusInner);
   const auto down_equiv = surface_points(cfg_.p, box, kRadiusOuter);
-  ops.dc2e = la::pinv_tikhonov(kernel.matrix(down_check, down_equiv),
-                               cfg_.tikhonov_eps);
+  ops.dc2e =
+      la::pinv_tikhonov(kernel.matrix(down_check, down_equiv), kTikhonovEps);
 
   // M2M / L2L per child octant (children of a level-l box live at l+1).
   // eroof: cold (operator setup: per-octant translation matrices are

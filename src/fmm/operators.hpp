@@ -50,7 +50,6 @@ struct FmmConfig {
   static constexpr int kMinP = 3;   ///< smallest p Operators accepts
   static constexpr int kMaxP = 16;  ///< largest p Operators accepts
   int p = 6;                  ///< surface nodes per cube edge (accuracy knob)
-  double tikhonov_eps = 1e-10;  ///< regularization of the equiv solves
   bool use_fft_m2l = true;
 };
 
@@ -82,6 +81,9 @@ struct LevelOperators {
 /// Builder + owner of all per-level operators and the FFT grid layout.
 class Operators {
  public:
+  /// Tikhonov regularization of the check-to-equivalent solves.
+  static constexpr double kTikhonovEps = 1e-10;
+
   /// `max_level`: deepest level that needs operators; `root_half`: domain
   /// half-width (level-l boxes have half-width root_half / 2^l).
   Operators(const Kernel& kernel, double root_half, int max_level,

@@ -1,6 +1,5 @@
 #include "hw/dvfs.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/require.hpp"
@@ -78,22 +77,6 @@ const std::vector<DvfsSetting>& table4_settings() {
       setting(612, 396), setting(852, 204),
   };
   return rows;
-}
-
-int DvfsTransitionModel::changed_domains(const DvfsSetting& from,
-                                         const DvfsSetting& to) const {
-  return static_cast<int>(from.core.freq_mhz != to.core.freq_mhz) +
-         static_cast<int>(from.mem.freq_mhz != to.mem.freq_mhz);
-}
-
-double DvfsTransitionModel::stall_s(const DvfsSetting& from,
-                                    const DvfsSetting& to) const {
-  return changed_domains(from, to) > 0 ? latency_s : 0.0;
-}
-
-double DvfsTransitionModel::switch_energy_j(const DvfsSetting& from,
-                                            const DvfsSetting& to) const {
-  return energy_j * changed_domains(from, to);
 }
 
 }  // namespace eroof::hw

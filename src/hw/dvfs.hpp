@@ -64,28 +64,51 @@ const std::vector<LabeledSetting>& table1_settings();
 /// The 8 system settings S1..S8 of Table IV used for FMM validation.
 const std::vector<DvfsSetting>& table4_settings();
 
-/// Cost model of a DVFS transition. Changing a domain's operating point
-/// stalls execution while the PLL relocks and the regulator ramps
-/// (`latency_s`; the Tegra K1's gbus/EMC reclock is of order 100 us) and
-/// dissipates a fixed switch energy per changed domain (`energy_j`,
-/// regulator/refresh-retraining overhead). Core and memory relock in
-/// parallel, so a transition that changes both domains pays one stall but
-/// two switch energies. The stall itself additionally costs constant power
-/// at the entered setting; consumers (Soc::run_sequence, the per-phase
-/// scheduler) price that part, since only they know whose pi_0 to use.
+/// Cost model of a DVFS transition, and the one place a clock change is
+/// priced. Changing a domain's operating point stalls execution while the
+/// PLL relocks and the regulator ramps (`latency_s`; the Tegra K1's
+/// gbus/EMC reclock is of order 100 us) and dissipates a fixed switch
+/// energy per changed domain (`energy_j`, regulator/refresh-retraining
+/// overhead). Core and memory relock in parallel, so a transition that
+/// changes both domains pays one stall but two switch energies. The stall
+/// itself additionally burns constant power at the entered setting; charge()
+/// prices it at the pi_0 its caller supplies -- the model's for a
+/// prediction, the silicon's for ground truth.
 struct DvfsTransitionModel {
   double latency_s = 0;  ///< stall per transition that changes >= 1 domain
   double energy_j = 0;   ///< fixed switch energy per changed domain
 
   /// How many domains (0..2) change operating point between two settings.
-  int changed_domains(const DvfsSetting& from, const DvfsSetting& to) const;
+  int changed_domains(const DvfsSetting& from, const DvfsSetting& to) const {
+    return static_cast<int>(from.core.freq_mhz != to.core.freq_mhz) +
+           static_cast<int>(from.mem.freq_mhz != to.mem.freq_mhz);
+  }
 
   /// Stall time of the transition: `latency_s` if any domain changes.
-  double stall_s(const DvfsSetting& from, const DvfsSetting& to) const;
+  double stall_s(const DvfsSetting& from, const DvfsSetting& to) const {
+    return changed_domains(from, to) > 0 ? latency_s : 0.0;
+  }
 
   /// Fixed switch energy of the transition (excludes the stall's
   /// constant-power cost): `energy_j` per changed domain.
-  double switch_energy_j(const DvfsSetting& from, const DvfsSetting& to) const;
+  double switch_energy_j(const DvfsSetting& from, const DvfsSetting& to) const {
+    return energy_j * changed_domains(from, to);
+  }
+
+  /// Charges the transition from -> to to running totals: the stall to
+  /// `total_s`, and the switch energy plus the stall at `pi0_w()` (watts)
+  /// to `total_j`. Returns the changed-domain count; at 0 nothing is added
+  /// and `pi0_w` is not called, so a caller may pass a costly lookup.
+  template <class Pi0>
+  int charge(const DvfsSetting& from, const DvfsSetting& to, Pi0&& pi0_w,
+             double& total_s, double& total_j) const {
+    const int nd = changed_domains(from, to);
+    if (nd > 0) {
+      total_s += stall_s(from, to);
+      total_j += switch_energy_j(from, to) + stall_s(from, to) * pi0_w();
+    }
+    return nd;
+  }
 };
 
 }  // namespace eroof::hw

@@ -184,16 +184,11 @@ SequenceMeasurement Soc::run_sequence(std::span<const Workload> phases,
     Measurement m = run(phases[i], settings[i], monitor, stream.fork(i),
                         traces_out ? &trace : nullptr);
     if (traces_out) traces_out->push_back(std::move(trace));
-    if (i > 0) {
-      const int nd = transitions.changed_domains(settings[i - 1], settings[i]);
-      if (nd > 0) {
-        out.switches += nd;
-        out.transition_time_s += transitions.latency_s;
-        out.transition_energy_j +=
-            transitions.energy_j * nd +
-            transitions.latency_s * true_constant_power_w(settings[i]);
-      }
-    }
+    if (i > 0)
+      out.switches += transitions.charge(
+          settings[i - 1], settings[i],
+          [&] { return true_constant_power_w(settings[i]); },
+          out.transition_time_s, out.transition_energy_j);
     out.time_s += m.time_s;
     out.energy_j += m.energy_j;
     out.phases.push_back(std::move(m));

@@ -189,12 +189,13 @@ class Soc {
 
   /// One measured execution of a *scheduled* run: phase i executes at
   /// settings[i], and every transition between consecutive differing
-  /// settings pays the transition model's stall (priced at the entered
-  /// setting's ground-truth constant power) plus its fixed switch energy.
-  /// Phase i draws its measurement noise from
-  /// stream.fork(i), so the result is bitwise-identical regardless of what
-  /// else ran before -- the ground-truth validation path for the per-phase
-  /// DVFS scheduler (core/schedule).
+  /// settings is charged by DvfsTransitionModel::charge at the entered
+  /// setting's ground-truth constant power. Phase i draws its measurement
+  /// noise from stream.fork(i), so the result is bitwise-identical
+  /// regardless of what else ran before -- the ground-truth validation path
+  /// for the per-phase DVFS scheduler (core/schedule). With one setting
+  /// for every phase it is the plain sum of run(phases[i], s, monitor,
+  /// stream.fork(i)) in phase order.
   ///
   /// When `traces_out` is non-null it is overwritten with one PowerTrace
   /// per phase (the in-service sample streams the closed-loop refresh

@@ -4,7 +4,7 @@
 // the timing/power physics of hw::Soc applied to the kernels' operation
 // counts), but the kernels are real: these bodies perform exactly the
 // per-word operation mix that suite.cpp's descriptors count, so the suite
-// can also be timed on the host CPU (bench/perf_ubench) and the count
+// can also be timed on the host CPU (bench/perf_platform) and the count
 // descriptors can be validated against actual code.
 #pragma once
 

@@ -147,7 +147,6 @@ TEST(OnlineRefresh, QuietWhenCalibratedFiresOnSystematicBias) {
   OnlineRefreshConfig cfg;
   cfg.min_observations = 5;
   cfg.cooldown = 5;
-  cfg.drift_bound = 0.05;
   OnlineRefresh refresh(seed_model(), cfg);
 
   // Perfectly calibrated stream: measured == predicted. Drift stays 0.
@@ -170,7 +169,6 @@ TEST(OnlineRefresh, RefreshAdoptsRefitAndResetsDetector) {
   OnlineRefreshConfig cfg;
   cfg.min_observations = 5;
   cfg.cooldown = 5;
-  cfg.forgetting = 0.95;
   OnlineRefresh refresh(seed_model(), cfg);
   // Stream a hotter regime than the seed model knows about.
   const auto hot = leakage_epoch(1.6 * seed_model().c1_proc,
@@ -326,12 +324,10 @@ LoopOutcome run_thermal_ramp(int steps) {
     // Ground-truth scores of all three controllers at this thermal state.
     const PhaseGridPrediction truth = oracle_phase_grid(hot, phases, ctx.grid);
     out.static_true_j +=
-        true_schedule_cost(hot, phases, truth, static_sched, tm).energy_j;
+        price_schedule(truth, tm, static_sched.pick).pred_energy_j;
     out.refreshed_true_j +=
-        true_schedule_cost(hot, phases, truth, loop.schedule(), tm).energy_j;
-    out.oracle_true_j +=
-        true_schedule_cost(hot, phases, truth, schedule_phases(truth, tm), tm)
-            .energy_j;
+        price_schedule(truth, tm, loop.schedule().pick).pred_energy_j;
+    out.oracle_true_j += schedule_phases(truth, tm).pred_energy_j;
     // The loop itself only sees its own noisy measurements.
     const auto rep = loop.step(scale, noise.fork(k));
     out.measured_j += rep.measured_energy_j;

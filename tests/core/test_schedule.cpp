@@ -321,6 +321,24 @@ TEST(Schedule, RunSequenceAccountsPhasesPlusTransitions) {
   const auto again = soc.run_sequence(phases, settings, tm, pm, stream);
   EXPECT_TRUE(bit_equal(seq.energy_j, again.energy_j));
   EXPECT_TRUE(bit_equal(seq.time_s, again.time_s));
+
+  // One setting for every phase pays no transition: each phase and both
+  // totals are bitwise the plain run() on stream.fork(i), summed in order.
+  const std::vector<hw::DvfsSetting> uniform(phases.size(),
+                                             hw::setting(612, 528));
+  const auto flat = soc.run_sequence(phases, uniform, tm, pm, stream);
+  ASSERT_EQ(flat.phases.size(), phases.size());
+  EXPECT_EQ(flat.switches, 0);
+  double run_t = 0, run_e = 0;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto m = soc.run(phases[i], uniform[i], pm, stream.fork(i));
+    EXPECT_TRUE(bit_equal(flat.phases[i].time_s, m.time_s));
+    EXPECT_TRUE(bit_equal(flat.phases[i].energy_j, m.energy_j));
+    run_t += m.time_s;
+    run_e += m.energy_j;
+  }
+  EXPECT_TRUE(bit_equal(flat.time_s, run_t));
+  EXPECT_TRUE(bit_equal(flat.energy_j, run_e));
 }
 
 TEST(Schedule, PerPhaseBeatsUniformAndRaceOnKifmmGroundTruth) {
@@ -333,10 +351,11 @@ TEST(Schedule, PerPhaseBeatsUniformAndRaceOnKifmmGroundTruth) {
                                       hw::full_grid(),
                                       hw::DvfsTransitionModel{});
   EXPECT_GT(cmp.per_phase.switches, 0);
-  EXPECT_LT(cmp.per_phase_true.energy_j, 0.995 * cmp.uniform_true.energy_j);
-  EXPECT_LT(cmp.uniform_true.energy_j, cmp.race_true.energy_j);
+  EXPECT_LT(cmp.per_phase_true.pred_energy_j,
+            0.995 * cmp.uniform_true.pred_energy_j);
+  EXPECT_LT(cmp.uniform_true.pred_energy_j, cmp.race_true.pred_energy_j);
   // Per-phase trades time for energy; race-to-halt must remain fastest.
-  EXPECT_LE(cmp.race_true.time_s, cmp.per_phase_true.time_s);
+  EXPECT_LE(cmp.race_true.pred_time_s, cmp.per_phase_true.pred_time_s);
 }
 
 TEST(Schedule, ParetoFrontierIsSortedAndUndominated) {
@@ -361,7 +380,7 @@ TEST(Schedule, ParetoFrontierIsSortedAndUndominated) {
 // ---------------------------------------------------------------------------
 
 TEST(ScheduleReuse, ReusesUntilDriftExceedsBound) {
-  ScheduleReuse reuse(0.10);
+  ScheduleReuse reuse;
   EXPECT_FALSE(reuse.installed());
   // Nothing installed yet: the first check must demand a search.
   std::vector<double> w0 = {100.0, 50.0, 200.0, 10.0};
@@ -392,7 +411,7 @@ TEST(ScheduleReuse, NaNWorkForcesRetune) {
   // Regression: NaN propagated through divergence() and `NaN > bound` is
   // false, so a poisoned work vector silently reused the stale schedule.
   // Non-finite work must read as infinite divergence instead.
-  ScheduleReuse reuse(0.10);
+  ScheduleReuse reuse;
   std::vector<double> w0 = {100.0, 50.0};
   reuse.install(w0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -413,7 +432,7 @@ TEST(ScheduleReuse, IncompatibleBaselineCountedApartFromRetunes) {
   // install yet, or the phase structure changed) and must be re-installed;
   // "retune" = a comparable baseline drifted past the bound. The split
   // lets a controller distinguish forced re-installs from drift events.
-  ScheduleReuse reuse(0.10);
+  ScheduleReuse reuse;
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(reuse.stats().incompatible, 1u);
   EXPECT_EQ(reuse.stats().retunes, 0u);
@@ -432,7 +451,7 @@ TEST(ScheduleReuse, IncompatibleBaselineCountedApartFromRetunes) {
 }
 
 TEST(ScheduleReuse, DivergenceHandlesDegenerateWork) {
-  ScheduleReuse reuse(0.5);
+  ScheduleReuse reuse;
   // A phase with zero installed work that stays zero is ignored; one that
   // becomes nonzero is infinite drift (the installed schedule never priced
   // it at all).
@@ -444,7 +463,7 @@ TEST(ScheduleReuse, DivergenceHandlesDegenerateWork) {
 }
 
 TEST(ScheduleReuse, ReinstallRebaselines) {
-  ScheduleReuse reuse(0.10);
+  ScheduleReuse reuse;
   reuse.install(std::vector<double>{100.0});
   EXPECT_TRUE(reuse.needs_retune(std::vector<double>{200.0}));
   reuse.install(std::vector<double>{200.0});

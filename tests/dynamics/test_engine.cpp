@@ -106,8 +106,8 @@ TEST(DynamicsEngine, RetunesWhenTheTreeStructureShifts) {
                         cfg);
   // A strong pull toward the center collapses the ensemble step by step:
   // the adaptive tree deepens around it (rebuilds + changed interaction
-  // lists), which moves the per-phase structural work past the engine's
-  // kRetuneBound.
+  // lists), which moves the per-phase structural work past
+  // model::kRetuneBound.
   LangevinMover mover(47, {.dt = 0.1, .gamma = 5.0, .sigma = 0.01});
   for (int s = 0; s < 6; ++s) engine.step(mover);
   EXPECT_GT(engine.stats().tunes, 1u);

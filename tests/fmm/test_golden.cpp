@@ -61,7 +61,7 @@ std::uint64_t solve_hash(const Kernel& kernel, int p, bool up) {
   h.add(f.u);
   h.add(f.s);
   h.add(f.v);
-  h.add(la::pinv_tikhonov(k, FmmConfig{}.tikhonov_eps));
+  h.add(la::pinv_tikhonov(k, Operators::kTikhonovEps));
   return h.value();
 }
 

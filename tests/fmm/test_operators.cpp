@@ -327,9 +327,6 @@ TEST(Operators, InvalidConfigRejected) {
   const LaplaceKernel kernel;
   EXPECT_THROW(Operators(kernel, 0.5, 2, FmmConfig{.p = 2}),
                util::ContractError);
-  EXPECT_THROW(Operators(kernel, 0.5, 2,
-                         FmmConfig{.p = 4, .tikhonov_eps = 0.0}),
-               util::ContractError);
 }
 
 }  // namespace

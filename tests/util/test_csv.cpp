@@ -21,7 +21,11 @@ std::string read_all(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "eroof_csv_test.csv";
+  // One file per case: ctest -j runs the cases as concurrent processes.
+  std::string path_ =
+      ::testing::TempDir() + "eroof_csv_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndNumericRows) {
